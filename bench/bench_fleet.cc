@@ -1,11 +1,10 @@
 /**
  * @file
  * Fleet-runtime bench: N concurrent SLAM sessions multiplexed over a
- * shared work-stealing executor, swept across sessions x workers
- * under bursty frame arrivals. Per cell it records aggregate
- * throughput (frames/s across all sessions), p50/p99 submit-to-
- * completion frame latency, peak RSS, and executor counters (turns,
- * steals).
+ * shared thread pool, swept across sessions x workers under bursty
+ * frame arrivals. Per cell it records aggregate throughput (frames/s
+ * across all sessions), p50/p99 submit-to-completion frame latency,
+ * peak RSS, and the scheduling turns executed.
  *
  * Two determinism contracts are enforced via the exit code (and gated
  * by tools/bench_diff.py against the committed trajectory):
@@ -15,7 +14,7 @@
  *                                  profile run standalone;
  *   worker_count_bitwise_identical a 2-session fleet produces
  *                                  per-session byte-identical outputs
- *                                  on every executor width swept.
+ *                                  on every pool width swept.
  * Throughput/latency/RSS fields are informational (machine-
  * dependent); the booleans are the gate.
  *
@@ -141,7 +140,6 @@ struct CellResult
     double p99LatencyMs = 0;
     double peakRssMb = 0;
     u64 turns = 0;
-    u64 steals = 0;
     std::vector<u64> hashes; //!< per-session output probes
 };
 
@@ -212,7 +210,6 @@ runCell(data::SyntheticDataset &ds, size_t sessions, size_t workers)
                             ? static_cast<double>(completed) /
                                   cell.wallSeconds
                             : 0;
-    cell.steals = fleet.executor().steals();
     cell.peakRssMb = peakRssMb();
     return cell;
 }
@@ -262,12 +259,11 @@ main()
             }
             std::printf("sessions=%zu workers=%zu  %6.2f fps  "
                         "p50 %7.2f ms  p99 %7.2f ms  rss %6.1f MB  "
-                        "turns %llu  steals %llu\n",
+                        "turns %llu\n",
                         sessions, workers, cell.aggregateFps,
                         cell.p50LatencyMs, cell.p99LatencyMs,
                         cell.peakRssMb,
-                        static_cast<unsigned long long>(cell.turns),
-                        static_cast<unsigned long long>(cell.steals));
+                        static_cast<unsigned long long>(cell.turns));
             cells.push_back(std::move(cell));
         }
     }
@@ -300,12 +296,10 @@ main()
                      "\"aggregate_fps\": %.3f, "
                      "\"p50_latency_ms\": %.3f, "
                      "\"p99_latency_ms\": %.3f, "
-                     "\"peak_rss_mb\": %.1f, \"turns\": %llu, "
-                     "\"steals\": %llu}%s\n",
+                     "\"peak_rss_mb\": %.1f, \"turns\": %llu}%s\n",
                      c.sessions, c.workers, c.aggregateFps,
                      c.p50LatencyMs, c.p99LatencyMs, c.peakRssMb,
                      static_cast<unsigned long long>(c.turns),
-                     static_cast<unsigned long long>(c.steals),
                      i + 1 == cells.size() ? "" : ",");
     }
     std::fprintf(out, "  ]\n}\n");

@@ -9,6 +9,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <mutex>
 #include <vector>
@@ -206,5 +207,11 @@ main()
     std::printf("\nspeedup: %.1fx   energy efficiency gain: %.1fx\n",
                 rtgs_sys.fps() / base_gpu.fps(),
                 base_gpu.energyPerFrame() / rtgs_sys.energyPerFrame());
+    // A non-finite trajectory error means a run diverged; fail so
+    // scripts and CI notice.
+    if (!std::isfinite(base_ate) || !std::isfinite(rtgs_ate)) {
+        std::fprintf(stderr, "error: ATE RMSE is not finite\n");
+        return 1;
+    }
     return 0;
 }

@@ -8,6 +8,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "core/rtgs_slam.hh"
@@ -134,6 +135,12 @@ main()
                         reloc->candidatesScored()),
                     reloc->accepted(), health->framesLost(),
                     reloc->databaseSize());
+    }
+    // A non-finite trajectory error means the run diverged; fail so
+    // scripts and CI notice.
+    if (!std::isfinite(ate.rmse)) {
+        std::fprintf(stderr, "error: ATE RMSE is not finite\n");
+        return 1;
     }
     return 0;
 }

@@ -25,19 +25,26 @@
 #include <vector>
 
 #include "common/annotations.hh"
-#include "common/executor.hh"
 #include "common/mutex.hh"
 
 namespace rtgs
 {
 
 /**
- * Fixed-size worker pool. Tasks are std::function<void()>; parallelFor
- * blocks the caller until all chunks complete (helping to run them).
- * Implements Executor through post(), so pool-agnostic components (the
- * async map drain) can be pointed at it or at a fleet executor alike.
+ * Fixed-size worker pool over one FIFO task queue. Tasks are
+ * std::function<void()>; parallelFor blocks the caller until all chunks
+ * complete (helping to run them).
+ *
+ * Contract for posted tasks (pinned by ThreadPoolPostProperty and
+ * ThreadPool.PostIsFifoSoARepostRunsBehindWaitingTasks):
+ *  - every posted task runs exactly once;
+ *  - workers dequeue tasks in post order, so a task that re-posts
+ *    itself lands behind every task already waiting (the fleet's
+ *    round-robin);
+ *  - the destructor runs every task still queued, including tasks that
+ *    running tasks post during teardown, before joining the workers.
  */
-class ThreadPool : public Executor
+class ThreadPool
 {
   public:
     /**
@@ -46,15 +53,13 @@ class ThreadPool : public Executor
      * @param num_threads Worker count; 0 selects hardware concurrency.
      */
     explicit ThreadPool(size_t num_threads = 0);
-    ~ThreadPool() override;
+    ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     /** Number of worker threads. */
     size_t size() const { return workers_.size(); }
-
-    size_t workerCount() const override { return workers_.size(); }
 
     /** True when the calling thread is one of this pool's workers. */
     bool onWorkerThread() const;
@@ -85,9 +90,10 @@ class ThreadPool : public Executor
     /**
      * Fire-and-forget variant of submit: no future, no packaged-task
      * allocation. The task must not throw. Used by the asynchronous
-     * mapping stage, which tracks completion itself.
+     * mapping stage and the fleet scheduler, which track completion
+     * themselves.
      */
-    void post(std::function<void()> task) override;
+    void post(std::function<void()> task);
 
   private:
     void workerLoop();

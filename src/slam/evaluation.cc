@@ -12,9 +12,9 @@ namespace
 {
 
 /**
- * 3x3 SVD via Jacobi eigendecomposition of A^T A. Sufficient for the
- * well-conditioned cross-covariance matrices trajectory alignment
- * produces.
+ * Eigendecomposition of a symmetric 3x3 matrix by Jacobi rotations,
+ * eigenpairs sorted by descending eigenvalue (alignTrajectories' SVD
+ * of the cross-covariance runs through its A^T A).
  */
 void
 jacobiEigenSym3(const Mat3d &a, Mat3d &vectors, Vec3d &values)
@@ -39,8 +39,14 @@ jacobiEigenSym3(const Mat3d &a, Mat3d &vectors, Vec3d &values)
         m = r.transpose() * m * r;
         v = v * r;
     }
-    values = {m(0, 0), m(1, 1), m(2, 2)};
-    vectors = v;
+    int order[3] = {0, 1, 2};
+    std::sort(order, order + 3,
+              [&m](int a, int b) { return m(a, a) > m(b, b); });
+    for (int c = 0; c < 3; ++c) {
+        values[c] = m(order[c], order[c]);
+        for (int r = 0; r < 3; ++r)
+            vectors(r, c) = v(r, order[c]);
+    }
 }
 
 } // namespace
@@ -94,12 +100,24 @@ alignTrajectories(const std::vector<SE3> &estimated,
         for (int r = 0; r < 3; ++r)
             u(r, c) = col[r];
     }
-    // Guard degenerate columns: re-orthogonalise U via cross products.
+    // Guard degenerate columns (static, collinear and planar
+    // trajectories leave H rank-deficient): re-orthogonalise U via
+    // cross products, relying on the descending singular-value order.
     Vec3d u0 = u.col(0), u1 = u.col(1);
     if (u0.norm() < 0.5) u0 = {1, 0, 0};
     u0 = u0 * (1.0 / u0.norm());
     u1 = u1 - u0 * u0.dot(u1);
-    if (u1.norm() < 1e-9) u1 = u0.cross(Vec3d{0, 0, 1});
+    if (u1.norm() < 1e-9) {
+        // Any unit vector orthogonal to u0 will do; crossing with the
+        // axis u0 is least aligned with never yields zero.
+        int least = 0;
+        for (int k = 1; k < 3; ++k)
+            if (std::abs(u0[k]) < std::abs(u0[least]))
+                least = k;
+        Vec3d axis{0, 0, 0};
+        axis[least] = 1;
+        u1 = u0.cross(axis);
+    }
     u1 = u1 * (1.0 / u1.norm());
     Vec3d u2 = u0.cross(u1);
     for (int r = 0; r < 3; ++r) { u(r,0)=u0[r]; u(r,1)=u1[r]; u(r,2)=u2[r]; }

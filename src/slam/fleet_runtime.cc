@@ -17,17 +17,16 @@ constexpr double kFleetMapWatchdogSeconds = 0.5;
 } // namespace
 
 FleetRuntime::FleetRuntime(const FleetConfig &config)
-    : config_(config),
-      executor_(config.workers == 0 ? 1 : config.workers,
-                config.startPaused)
+    : config_(config), pool_(config.workers == 0 ? 1 : config.workers),
+      started_(!config.startPaused)
 {
 }
 
 FleetRuntime::~FleetRuntime()
 {
     // A paused fleet still owes its staged frames an execution; the
-    // graceful closes below wait on turns, which need live workers.
-    executor_.start();
+    // graceful closes below wait on turns, which need scheduling.
+    start();
     std::vector<SessionId> open;
     {
         MutexLock lock(mutex_);
@@ -38,14 +37,18 @@ FleetRuntime::~FleetRuntime()
     for (SessionId id : open)
         closeSession(id, /*discard_pending=*/false);
     // Members destroy in reverse order: sessions_ (and their
-    // MapWorkers, already drained by the closes) first, executor_
-    // last.
+    // MapWorkers, already drained by the closes) first, pool_ last.
 }
 
 void
 FleetRuntime::start()
 {
-    executor_.start();
+    MutexLock lock(mutex_);
+    if (started_)
+        return;
+    started_ = true;
+    for (auto &entry : sessions_)
+        scheduleTurnLocked(*entry.second);
 }
 
 AdmitDecision
@@ -57,7 +60,7 @@ FleetRuntime::openSession(const FleetSessionConfig &config,
     cfg.weight = std::max<u32>(1, cfg.weight);
     cfg.frameQueueDepth = std::max<size_t>(1, cfg.frameQueueDepth);
     // Mapping drains share the fleet's threads.
-    cfg.slam.mapExecutor = &executor_;
+    cfg.slam.mapExecutor = &pool_;
     if (cfg.slam.mapQueueDepth > 0 &&
         cfg.slam.mapOverflowPolicy == OverflowPolicy::Block &&
         cfg.slam.mapWatchdogSeconds <= 0) {
@@ -103,16 +106,14 @@ FleetRuntime::findLocked(SessionId id) const
 void
 FleetRuntime::scheduleTurnLocked(Session &session)
 {
-    if (session.turnScheduled || !session.admitted || session.closed ||
-        session.frames.empty())
+    if (!started_ || session.turnScheduled || !session.admitted ||
+        session.closed || session.frames.empty())
         return;
     session.turnScheduled = true;
     SessionId id = session.id;
-    // postLocal: a turn requeueing itself goes to the BACK of the
-    // current worker's queue (behind every other session's waiting
-    // turn — that is the round-robin); submit-side schedules
-    // round-robin across queues.
-    executor_.postLocal([this, id] { runTurn(id); });
+    // One FIFO queue: a turn requeueing itself lands behind every
+    // other session's waiting turn — that is the round-robin.
+    pool_.post([this, id] { runTurn(id); });
 }
 
 bool

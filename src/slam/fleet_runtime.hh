@@ -1,30 +1,32 @@
 /**
  * @file
  * Multi-session fleet runtime: N independent SlamSystem sessions
- * served by ONE shared work-stealing executor (fleet_executor.hh),
- * with per-session bounded backpressure, weighted-round-robin
- * fairness, admission control, and clean per-session teardown. This
- * is the ROADMAP's production-scale serving direction: PR 2's stage
- * graph made a session's frame step an explicit schedulable unit and
- * PR 4's O(1) COW snapshots made per-session maps cheap, so sessions
- * multiplex over a fixed thread set instead of owning pools.
+ * served by ONE shared ThreadPool, with per-session bounded
+ * backpressure, weighted-round-robin fairness, admission control, and
+ * clean per-session teardown. The staged frame loop makes a session's
+ * frame step an explicit schedulable unit and O(1) COW snapshots make
+ * per-session maps cheap, so sessions multiplex over a fixed thread
+ * set instead of owning pools. A standalone SlamSystem and a fleet run
+ * on the same executor type.
  *
  * Scheduling model — session "turns":
  *  - Each session owns a bounded frame queue (frameQueueDepth).
  *    submitFrame() blocks while it is full (backpressure);
  *    trySubmitFrame() fails instead.
- *  - A turn is one executor task that processes up to `weight` queued
+ *  - A turn is one pool task that processes up to `weight` queued
  *    frames of one session in order, then — if frames remain —
- *    requeues itself at the BACK of the current worker's queue. With
- *    the executor's oldest-first dequeue discipline this yields
- *    weighted round-robin: under a burst from one session, everyone
- *    else's turns still drain in arrival order, so per-session
- *    latency stays bounded by the fleet's total weight, not by the
- *    burst length.
+ *    posts itself again. The pool has one FIFO queue, so the requeued
+ *    turn lands behind every other session's waiting turn: weighted
+ *    round-robin. Under a burst from one session everyone else's turns
+ *    still drain in arrival order, so per-session latency stays
+ *    bounded by the fleet's total weight, not by the burst length.
  *  - At most ONE turn per session is in flight (the turnScheduled
  *    flag, same pattern as MapWorker's single-drainer ledger), so a
  *    session's frames process strictly sequentially — the fleet
  *    never changes a session's frame order, only where it runs.
+ *  - A startPaused fleet stages frames without posting turns until
+ *    start(), which then schedules every admitted session with frames
+ *    waiting, in session-id order.
  *
  * Determinism contract: a session run inside a fleet of N is
  * byte-identical (trajectory + cloud) to the same profile run
@@ -44,13 +46,14 @@
  * until a close promotes it); beyond that openSession() rejects.
  *
  * Mapping: each session's async MapWorker (when configured) drains on
- * THIS executor too (SlamConfig::mapExecutor is overridden at
+ * the fleet's pool too (SlamConfig::mapExecutor is overridden at
  * admission), so tracking and mapping share the same threads.
- * Deadlock guard: a Block-policy map queue with no watchdog could
- * park a worker inside enqueue() while the drain that would free it
- * waits behind that very worker; openSession() forces a watchdog on
- * such configs so the push degrades to drop-oldest instead of
- * wedging the fleet.
+ * Turns are quantum-bounded, so a posted map drain never starves
+ * behind an unbounded task. Deadlock guard: a Block-policy map queue
+ * with no watchdog could park a worker inside enqueue() while the
+ * drain that would free it waits behind that very worker;
+ * openSession() forces a watchdog on such configs so the push
+ * degrades to drop-oldest instead of wedging the fleet.
  */
 
 #ifndef RTGS_SLAM_FLEET_RUNTIME_HH
@@ -65,7 +68,7 @@
 
 #include "common/annotations.hh"
 #include "common/mutex.hh"
-#include "slam/fleet_executor.hh"
+#include "common/thread_pool.hh"
 #include "slam/pipeline.hh"
 #include "slam/profiler.hh"
 
@@ -75,14 +78,14 @@ namespace rtgs::slam
 /** Fleet-wide configuration. */
 struct FleetConfig
 {
-    /** Executor worker threads shared by every session. */
+    /** Pool worker threads shared by every session (0 = 1). */
     size_t workers = 2;
     /** Admission capacity: sessions schedulable at once. */
     size_t maxActiveSessions = 4;
     /** Sessions that may wait for capacity (0 = reject immediately). */
     size_t admissionQueueLimit = 0;
-    /** Stage work without running it until start() — burst tests and
-     *  the bench's bursty-arrival setup. */
+    /** Stage frames without scheduling turns until start() — burst
+     *  tests and the bench's bursty-arrival setup. */
     bool startPaused = false;
 };
 
@@ -134,8 +137,8 @@ struct FleetSessionStats
  * close; read results through system() AFTER drainSession() or
  * closeSession() — session objects live until the runtime is
  * destroyed, so closed sessions stay readable. The destructor
- * gracefully closes every remaining session (processing what was
- * already submitted), then retires the executor.
+ * starts a paused fleet, gracefully closes every remaining session
+ * (processing what was already submitted), then joins the pool.
  */
 class FleetRuntime
 {
@@ -149,14 +152,15 @@ class FleetRuntime
     FleetRuntime(const FleetRuntime &) = delete;
     FleetRuntime &operator=(const FleetRuntime &) = delete;
 
-    /** Release a startPaused fleet. Idempotent. */
+    /** Release a startPaused fleet: schedule a turn for every admitted
+     *  session with frames staged. Idempotent. */
     void start();
 
     /**
      * Admit, queue, or reject a new session. On Admitted/Queued,
      * `id_out` names the session; on Rejected it is kInvalidSession.
      * The session's SlamConfig is copied with mapExecutor pointed at
-     * the fleet executor and (Block-policy async configs only) a
+     * the fleet's pool and (Block-policy async configs only) a
      * watchdog forced — see the deadlock guard in the file comment.
      */
     AdmitDecision openSession(const FleetSessionConfig &config,
@@ -216,9 +220,6 @@ class FleetRuntime
     /** Sessions waiting in the admission queue. */
     size_t queuedSessions() const;
 
-    /** The shared executor (observability: steals, task counts). */
-    FleetExecutor &executor() { return executor_; }
-
     /**
      * Global frame-completion order: (session, frameIndex) appended
      * as each frame finishes. The fairness tests assert bounded
@@ -257,7 +258,8 @@ class FleetRuntime
 
     Session *findLocked(SessionId id) RTGS_REQUIRES(mutex_);
     const Session *findLocked(SessionId id) const RTGS_REQUIRES(mutex_);
-    /** Post a turn if none is in flight and frames are waiting. */
+    /** Post a turn if the fleet is started, none is in flight and
+     *  frames are waiting. */
     void scheduleTurnLocked(Session &session) RTGS_REQUIRES(mutex_);
     /** Admit waiting sessions into freed capacity. */
     void promoteLocked() RTGS_REQUIRES(mutex_);
@@ -268,20 +270,22 @@ class FleetRuntime
     FleetConfig config_;
     /** Declared before the session map: destroyed after it, so any
      *  straggler interaction during session teardown still finds a
-     *  live executor (the destructor quiesces everything first
-     *  anyway). Internally synchronized. */
-    FleetExecutor executor_;
+     *  live pool (the destructor quiesces everything first anyway).
+     *  Internally synchronized. */
+    ThreadPool pool_;
 
     /** Guards all scheduler state below and every Session field (see
      *  Session). Held only for queue/flag/stats manipulation — never
-     *  across processFrame, waitForMapping, or an executor task body.
-     *  Lock order: mutex_ before the executor's internal mutex (posts
+     *  across processFrame, waitForMapping, or a pool task body.
+     *  Lock order: mutex_ before the pool's internal mutex (posts
      *  happen under mutex_); SlamSystem's internal locks are only
      *  taken WITHOUT mutex_ held. */
     mutable Mutex mutex_;
     /** Signals queue space (backpressure), frame completions, turn
      *  retirement, and close/drain progress. */
     std::condition_variable cv_;
+    /** False while a startPaused fleet waits for start(). */
+    bool started_ RTGS_GUARDED_BY(mutex_);
     SessionId nextId_ RTGS_GUARDED_BY(mutex_) = 1;
     size_t active_ RTGS_GUARDED_BY(mutex_) = 0;
     std::map<SessionId, std::unique_ptr<Session>> sessions_

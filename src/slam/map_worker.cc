@@ -1,6 +1,5 @@
 #include "slam/map_worker.hh"
 
-#include "common/executor.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 
@@ -9,7 +8,7 @@ namespace rtgs::slam
 
 MapWorker::MapWorker(size_t queue_depth, size_t batch_size, RunFn run,
                      OverflowPolicy policy, double watchdog_seconds,
-                     DropFn on_drop, Executor *executor)
+                     DropFn on_drop, ThreadPool *executor)
     : queue_(queue_depth), batchSize_(batch_size == 0 ? 1 : batch_size),
       run_(std::move(run)), policy_(policy),
       watchdogSeconds_(watchdog_seconds), onDrop_(std::move(on_drop)),

@@ -47,7 +47,7 @@
 
 namespace rtgs
 {
-class Executor;
+class ThreadPool;
 }
 
 namespace rtgs::slam
@@ -98,16 +98,16 @@ class MapWorker
      *                    push falls back to evicting the oldest job
      *                    (degrade instead of wedge); <= 0 disables
      * @param on_drop     invoked for every evicted job
-     * @param executor    where drain tasks run; null selects the
-     *                    process-global ThreadPool. A fleet runtime
-     *                    injects its shared work-stealing executor so
-     *                    one thread set drives tracking and mapping
-     *                    for every session. Must outlive this worker.
+     * @param executor    pool the drain tasks run on; null selects
+     *                    the process-global pool. A fleet runtime
+     *                    injects its own pool so one thread set drives
+     *                    tracking and mapping for every session. Must
+     *                    outlive this worker.
      */
     MapWorker(size_t queue_depth, size_t batch_size, RunFn run,
               OverflowPolicy policy = OverflowPolicy::Block,
               double watchdog_seconds = 0, DropFn on_drop = nullptr,
-              Executor *executor = nullptr);
+              ThreadPool *executor = nullptr);
     ~MapWorker();
 
     MapWorker(const MapWorker &) = delete;
@@ -142,7 +142,7 @@ class MapWorker
     double watchdogSeconds_;
     DropFn onDrop_;
     /** Immutable after construction; internally synchronized. */
-    Executor *executor_;
+    ThreadPool *executor_;
 
     /** Guards the completion ledger below. queue_'s internal mutex may
      *  be taken while statusMutex_ is held (drainLoop's atomic

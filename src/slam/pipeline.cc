@@ -312,7 +312,13 @@ SlamSystem::constantVelocityGuess() const
         return trajectory_[n - 1];
     // delta maps pose[n-2] to pose[n-1]; apply it once more.
     SE3 delta = trajectory_[n - 1] * trajectory_[n - 2].inverse();
-    return delta * trajectory_[n - 1];
+    SE3 guess = delta * trajectory_[n - 1];
+    // inverse() transposes the rotation, which is only its inverse on
+    // SO(3): R[n-1] R[n-2]^T R[n-1] amplifies any loss of
+    // orthonormality ~(1 + sqrt 2)x per frame until the poses blow up.
+    // Project the prediction back onto SO(3).
+    guess.rot = expSo3(logSo3(guess.rot));
+    return guess;
 }
 
 SE3

@@ -118,13 +118,13 @@ struct SlamConfig
     double mapWatchdogSeconds = 0;
 
     /**
-     * Executor the async map drain runs on. Null (the default) selects
-     * the process-global ThreadPool — the single-session behaviour.
-     * FleetRuntime injects its shared work-stealing executor here so
-     * one thread set serves tracking and mapping for every session.
-     * Non-owning; must outlive the SlamSystem. Ignored in sync mode.
+     * Pool the async map drain runs on. Null (the default) selects the
+     * process-global ThreadPool — the single-session behaviour.
+     * FleetRuntime injects its own pool here so one thread set serves
+     * tracking and mapping for every session. Non-owning; must outlive
+     * the SlamSystem. Ignored in sync mode.
      */
-    Executor *mapExecutor = nullptr;
+    ThreadPool *mapExecutor = nullptr;
 
     /**
      * Tracking-health monitoring (input validation, divergence

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <future>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -291,6 +292,29 @@ TEST(ThreadPool, SubmitPropagatesExceptions)
     ThreadPool pool(1);
     auto f = pool.submit([] { throw std::runtime_error("boom"); });
     EXPECT_THROW(f.get(), std::runtime_error);
+}
+
+TEST(ThreadPool, PostIsFifoSoARepostRunsBehindWaitingTasks)
+{
+    // The fleet's round-robin rests on this: one worker, tasks 0..7
+    // staged behind a gate; task 0 re-posts itself as 100, which must
+    // run after every task that was already waiting.
+    std::vector<int> order; // only the single worker appends
+    std::promise<void> gate;
+    std::shared_future<void> opened = gate.get_future().share();
+    {
+        ThreadPool pool(1);
+        pool.post([opened] { opened.wait(); });
+        for (int i = 0; i < 8; ++i) {
+            pool.post([&pool, &order, i] {
+                order.push_back(i);
+                if (i == 0)
+                    pool.post([&order] { order.push_back(100); });
+            });
+        }
+        gate.set_value();
+    } // the destructor drains the queue and joins the worker
+    EXPECT_EQ((std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 100}), order);
 }
 
 TEST(BoundedQueue, FifoOrder)

@@ -1,15 +1,14 @@
 /**
  * @file
  * Fleet-runtime test suite: session isolation, determinism, fairness,
- * admission control, and teardown for the shared work-stealing
- * executor serving N concurrent SLAM sessions.
+ * admission control, and teardown for the shared thread pool serving
+ * N concurrent SLAM sessions.
  *
  * The load-bearing contracts:
  *  - fleet-of-1 output is byte-identical to a standalone run on all
  *    four base-algorithm profiles;
- *  - N-session output is bitwise identical across 1/2/4 executor
- *    workers (the executor decides WHERE work runs, never its
- *    result);
+ *  - N-session output is bitwise identical across 1/2/4 pool
+ *    workers (the pool decides WHERE work runs, never its result);
  *  - two sessions running concurrently stay isolated: each matches
  *    its solo run byte for byte (pins shared-RNG / static-scratch /
  *    profiler-aliasing hazards and the thread-affinity rebind of the
@@ -23,13 +22,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 #include <vector>
 
-#include "slam/fleet_executor.hh"
 #include "slam/fleet_runtime.hh"
 #include "slam/pipeline.hh"
 
@@ -133,71 +130,6 @@ submitAll(FleetRuntime &fleet, FleetRuntime::SessionId id)
 } // namespace
 
 // ---------------------------------------------------------------- //
-//                         FleetExecutor units                      //
-// ---------------------------------------------------------------- //
-
-TEST(FleetExecutorTest, RunsEveryTaskAndIdleWorkersSteal)
-{
-    // All 64 tasks pinned to queue 0 of a 4-worker executor: workers
-    // 1-3 can only make progress by stealing, and every task must
-    // still run exactly once.
-    FleetExecutor exec(4);
-    std::vector<int> ran(64, 0);
-    for (size_t i = 0; i < ran.size(); ++i) {
-        exec.postTo(0, [&ran, i] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            ran[i] += 1; // distinct slots: no write conflicts
-        });
-    }
-    exec.drain();
-    for (size_t i = 0; i < ran.size(); ++i)
-        EXPECT_EQ(1, ran[i]) << "task " << i;
-    EXPECT_EQ(64u, exec.tasksPosted());
-    EXPECT_EQ(64u, exec.tasksCompleted());
-    EXPECT_GT(exec.steals(), 0u);
-}
-
-TEST(FleetExecutorTest, PausedExecutorStagesWorkUntilStart)
-{
-    FleetExecutor exec(2, /*start_paused=*/true);
-    std::vector<int> ran(8, 0);
-    for (size_t i = 0; i < ran.size(); ++i)
-        exec.post([&ran, i] { ran[i] = 1; });
-    // Workers exist but sleep until start(): nothing may have run.
-    EXPECT_EQ(0u, exec.tasksCompleted());
-    for (int r : ran)
-        EXPECT_EQ(0, r);
-    exec.start();
-    exec.drain();
-    for (int r : ran)
-        EXPECT_EQ(1, r);
-}
-
-TEST(FleetExecutorTest, ZeroWorkerRequestClampsToOne)
-{
-    FleetExecutor exec(0);
-    EXPECT_EQ(1u, exec.workerCount());
-    int ran = 0;
-    exec.post([&ran] { ran = 1; });
-    exec.drain();
-    EXPECT_EQ(1, ran);
-}
-
-TEST(FleetExecutorTest, DestructorRunsStagedTasks)
-{
-    // A paused executor destroyed with staged tasks still owes them
-    // an execution (the fleet relies on this for teardown safety).
-    std::vector<int> ran(4, 0);
-    {
-        FleetExecutor exec(2, /*start_paused=*/true);
-        for (size_t i = 0; i < ran.size(); ++i)
-            exec.post([&ran, i] { ran[i] = 1; });
-    }
-    for (int r : ran)
-        EXPECT_EQ(1, r);
-}
-
-// ---------------------------------------------------------------- //
 //                    Determinism: fleet == solo                    //
 // ---------------------------------------------------------------- //
 
@@ -240,7 +172,7 @@ TEST(FleetRuntime, FleetOfOneMatchesStandaloneOnAllProfiles)
 
 TEST(FleetRuntime, OutputBitwiseIdenticalAcrossWorkerCounts)
 {
-    // Three concurrent sessions, three executor widths: per-session
+    // Three concurrent sessions, three pool widths: per-session
     // trajectories and clouds must match bit for bit — scheduling
     // decides where work runs, never what it computes.
     const BaseAlgorithm algos[] = {BaseAlgorithm::GsSlam,
@@ -300,10 +232,9 @@ TEST(FleetRuntime, ConcurrentSessionsStayIsolated)
     // workers — one with the thread-affine health monitor +
     // relocalizer enabled (their state must migrate across turn
     // boundaries, not panic or leak), one mapping asynchronously
-    // through the SHARED executor (the MapWorker globalPool coupling
-    // this PR removed). Each must match its solo run byte for byte;
-    // any shared RNG, static scratch, or aliased profiler would show
-    // up as a diff here.
+    // through the SHARED fleet pool rather than globalPool(). Each
+    // must match its solo run byte for byte; any shared RNG, static
+    // scratch, or aliased profiler would show up as a diff here.
     SlamConfig health_cfg = fastConfig(BaseAlgorithm::MonoGs);
     health_cfg.health.enabled = true;
     health_cfg.reloc.enabled = true;
@@ -434,6 +365,10 @@ TEST(FleetRuntime, BurstDrainsFairRoundRobin)
 
     submitAll(fleet, a); // the burst
     submitAll(fleet, b);
+    // A paused fleet stages frames without running a single turn.
+    EXPECT_TRUE(fleet.completionLog().empty());
+    EXPECT_EQ(0u, fleet.sessionStats(a).turns);
+    EXPECT_EQ(0u, fleet.sessionStats(b).turns);
     fleet.start();
     fleet.drainSession(a);
     fleet.drainSession(b);
@@ -593,6 +528,51 @@ TEST(FleetRuntime, TeardownMidRunAccountsEveryFrame)
     ASSERT_TRUE(fleet.submitFrame(fresh, ds.frame(0)));
     fleet.drainSession(fresh);
     EXPECT_EQ(1u, fleet.sessionStats(fresh).completed);
+}
+
+TEST(FleetRuntime, DestructorRunsFramesStagedWhilePaused)
+{
+    // A paused fleet destroyed with frames staged still owes them an
+    // execution: the destructor starts the fleet before its graceful
+    // closes. Tracked frames are counted through the tracking hook
+    // (first iteration of each frame) against the same frames run
+    // standalone.
+    auto &ds = tinyDataset();
+    const u32 kFrames = 4;
+    SlamConfig cfg = fastConfig(BaseAlgorithm::MonoGs);
+
+    u32 solo_tracked = 0;
+    {
+        SlamSystem solo(cfg, ds.intrinsics());
+        solo.setTrackIterationHook([&](const TrackIterationContext &ctx) {
+            solo_tracked += ctx.iteration == 0 ? 1 : 0;
+        });
+        for (u32 f = 0; f < kFrames; ++f)
+            solo.processFrame(ds.frame(f));
+    }
+
+    std::atomic<u32> fleet_tracked{0};
+    {
+        FleetConfig fleet_cfg;
+        fleet_cfg.workers = 1;
+        fleet_cfg.startPaused = true;
+        FleetRuntime fleet(fleet_cfg);
+        FleetSessionConfig session;
+        session.slam = cfg;
+        session.intrinsics = ds.intrinsics();
+        FleetRuntime::SessionId id = 0;
+        ASSERT_EQ(AdmitDecision::Admitted, fleet.openSession(session, id));
+        fleet.system(id)->setTrackIterationHook(
+            [&](const TrackIterationContext &ctx) {
+                fleet_tracked += ctx.iteration == 0 ? 1 : 0;
+            });
+        for (u32 f = 0; f < kFrames; ++f)
+            ASSERT_TRUE(fleet.submitFrame(id, ds.frame(f)));
+        EXPECT_EQ(0u, fleet.sessionStats(id).completed);
+    } // never started
+
+    EXPECT_GT(solo_tracked, 0u);
+    EXPECT_EQ(solo_tracked, fleet_tracked.load());
 }
 
 } // namespace rtgs::slam

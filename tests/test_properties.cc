@@ -10,16 +10,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "core/downsampling.hh"
 #include "gs/render_pipeline.hh"
 #include "hw/rtgs_model.hh"
 #include "hw/trace.hh"
-#include "slam/fleet_executor.hh"
+#include "slam/evaluation.hh"
 
 namespace rtgs
 {
@@ -255,135 +259,219 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1.0 / 32, 1.0 / 16, 1.0 / 8)));
 
 // ---------------------------------------------------------------- //
-//              Fleet work-stealing scheduler invariants            //
+//            Trajectory alignment on rank-deficient shapes         //
 // ---------------------------------------------------------------- //
 
-class FleetStealQueueProperty : public ::testing::TestWithParam<u64>
+namespace
+{
+
+/** Camera-centre layouts whose cross-covariance is rank 0, 1 or 2 —
+ *  the degenerate cases the alignment's SVD guards must handle — plus
+ *  one general (full-rank) layout. */
+enum class TrajectoryShape
+{
+    Static,
+    LineX,
+    LineY,
+    LineZ,
+    PlaneXY,
+    PlaneXZ,
+    PlaneYZ,
+    General
+};
+
+const char *
+trajectoryShapeName(TrajectoryShape shape)
+{
+    switch (shape) {
+    case TrajectoryShape::Static: return "static";
+    case TrajectoryShape::LineX: return "line_x";
+    case TrajectoryShape::LineY: return "line_y";
+    case TrajectoryShape::LineZ: return "line_z";
+    case TrajectoryShape::PlaneXY: return "plane_xy";
+    case TrajectoryShape::PlaneXZ: return "plane_xz";
+    case TrajectoryShape::PlaneYZ: return "plane_yz";
+    case TrajectoryShape::General: return "general";
+    }
+    return "?";
+}
+
+/** Random rotation of at most `max_angle` radians. */
+Mat3f
+randomRotation(Rng &rng, double max_angle)
+{
+    Vec3f axis{static_cast<Real>(rng.normal()),
+               static_cast<Real>(rng.normal()),
+               static_cast<Real>(rng.normal())};
+    Real angle = static_cast<Real>(rng.uniform(0, max_angle));
+    return expSo3(axis.normalized() * angle);
+}
+
+/** World-to-camera poses whose centres follow `shape`; orientations
+ *  are random (alignment only looks at centres). */
+std::vector<SE3>
+shapedTrajectory(TrajectoryShape shape, Rng &rng)
+{
+    std::vector<SE3> poses;
+    for (int i = 0; i < 20; ++i) {
+        Real a = Real(0.1) * static_cast<Real>(i);
+        Real b = Real(0.3) * std::sin(Real(0.7) * static_cast<Real>(i));
+        Vec3f c{Real(0.5), Real(-0.25), Real(1.5)};
+        switch (shape) {
+        case TrajectoryShape::Static: break;
+        case TrajectoryShape::LineX: c.x += a; break;
+        case TrajectoryShape::LineY: c.y += a; break;
+        case TrajectoryShape::LineZ: c.z += a; break;
+        case TrajectoryShape::PlaneXY: c.x += a; c.y += b; break;
+        case TrajectoryShape::PlaneXZ: c.x += a; c.z += b; break;
+        case TrajectoryShape::PlaneYZ: c.y += a; c.z += b; break;
+        case TrajectoryShape::General:
+            c = c + Vec3f{a, b, Real(0.2) * b * b - a * Real(0.3)};
+            break;
+        }
+        Mat3f rot = randomRotation(rng, M_PI);
+        poses.push_back({rot, -(rot * c)});
+    }
+    return poses;
+}
+
+} // namespace
+
+class AlignmentProperty
+    : public ::testing::TestWithParam<std::tuple<int, u64>>
 {
 };
 
-TEST_P(FleetStealQueueProperty, SingleThreadDequeueIsExactPushOrder)
+TEST_P(AlignmentProperty, RankDeficientTrajectoriesAlignExactly)
 {
-    // The fairness-first discipline (fleet_executor.hh): no matter how
-    // owner pops and thief steals interleave, items leave the queue in
-    // exactly push order — steal() must take the OLDEST, not the
-    // newest, or weighted round-robin would not survive stealing.
-    Rng rng(GetParam());
-    slam::WorkStealingQueue<int> queue;
-    std::vector<int> out;
-    int next = 0;
-    for (int step = 0; step < 400; ++step) {
-        switch (rng.uniformInt(3)) {
-        case 0:
-            queue.push(next++);
-            break;
-        case 1: {
-            int got = -1;
-            if (queue.pop(got))
-                out.push_back(got);
-            break;
-        }
-        default: {
-            int got = -1;
-            if (queue.steal(got))
-                out.push_back(got);
-            break;
-        }
-        }
-    }
-    for (int got = -1; queue.pop(got);)
-        out.push_back(got);
-    ASSERT_EQ(static_cast<size_t>(next), out.size()) << "lost items";
-    for (int i = 0; i < next; ++i)
-        ASSERT_EQ(i, out[i]) << "dequeue order diverged from push order";
-    EXPECT_TRUE(queue.empty());
+    TrajectoryShape shape =
+        static_cast<TrajectoryShape>(std::get<0>(GetParam()));
+    Rng rng(std::get<1>(GetParam()));
+    std::vector<SE3> est = shapedTrajectory(shape, rng);
+
+    // A trajectory against itself has zero error, whatever its rank.
+    EXPECT_LT(slam::computeAte(est, est).rmse, 1e-6);
+
+    // Ground truth = the same trajectory moved by one rigid transform
+    // (centres map through `move`): alignment must undo it.
+    SE3 move{randomRotation(rng, M_PI),
+             {static_cast<Real>(rng.uniform(-3, 3)),
+              static_cast<Real>(rng.uniform(-3, 3)),
+              static_cast<Real>(rng.uniform(-3, 3))}};
+    std::vector<SE3> gt;
+    for (const SE3 &pose : est)
+        gt.push_back(pose * move.inverse());
+    EXPECT_LT(slam::computeAte(est, gt).rmse, 1e-4);
 }
 
-TEST_P(FleetStealQueueProperty, ConcurrentConsumersNeverLoseOrDuplicate)
-{
-    // One owner (pushing and popping, as an executor worker does) and
-    // two thieves race on the queue: every pushed item must come out
-    // exactly once, and — because every dequeue takes the current
-    // oldest — each consumer's local sequence is strictly increasing.
-    constexpr int kItems = 500;
-    slam::WorkStealingQueue<int> queue;
-    std::vector<int> owner_got, thief_got[2];
-    u64 seed = GetParam();
-
-    std::thread owner([&] {
-        Rng rng(seed);
-        int next = 0;
-        while (next < kItems) {
-            queue.push(next++);
-            if (rng.uniformInt(3) == 0) {
-                int got = -1;
-                if (queue.pop(got))
-                    owner_got.push_back(got);
-            }
-        }
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, AlignmentProperty,
+    ::testing::Combine(::testing::Range(0, 8),
+                       ::testing::Values(1u, 7u, 42u)),
+    [](const ::testing::TestParamInfo<std::tuple<int, u64>> &info) {
+        return std::string(trajectoryShapeName(static_cast<TrajectoryShape>(
+                   std::get<0>(info.param)))) +
+               "_seed" + std::to_string(std::get<1>(info.param));
     });
-    std::thread thieves[2];
-    std::atomic<bool> stop{false};
-    for (int t = 0; t < 2; ++t) {
-        thieves[t] = std::thread([&, t] {
-            while (!stop.load(std::memory_order_relaxed)) {
-                int got = -1;
-                if (queue.steal(got))
-                    thief_got[t].push_back(got);
-                else
-                    std::this_thread::yield();
-            }
-        });
-    }
-    owner.join();
-    // Let the thieves drain whatever the owner left behind.
-    while (!queue.empty())
-        std::this_thread::yield();
-    stop.store(true);
-    thieves[0].join();
-    thieves[1].join();
 
-    std::vector<int> all;
-    for (const auto *seq : {&owner_got, &thief_got[0], &thief_got[1]}) {
-        for (size_t i = 1; i < seq->size(); ++i)
-            ASSERT_LT((*seq)[i - 1], (*seq)[i])
-                << "consumer saw items out of FIFO order";
-        all.insert(all.end(), seq->begin(), seq->end());
-    }
-    std::sort(all.begin(), all.end());
-    ASSERT_EQ(static_cast<size_t>(kItems), all.size())
-        << "items lost or duplicated";
-    for (int i = 0; i < kItems; ++i)
-        ASSERT_EQ(i, all[static_cast<size_t>(i)]);
-}
+// ---------------------------------------------------------------- //
+//               ThreadPool post() contract (the fleet's)           //
+// ---------------------------------------------------------------- //
 
-TEST_P(FleetStealQueueProperty, ExecutorRunsEveryTaskExactlyOnce)
+/** Parameter: worker count. FleetRuntime turns and MapWorker drains
+ *  rely on post() running every task exactly once, including tasks
+ *  posted from tasks and tasks still queued at destruction. */
+class ThreadPoolPostProperty : public ::testing::TestWithParam<size_t>
 {
-    // Randomised post()/postTo() mix against a live executor: no task
-    // is lost or run twice regardless of how workers pop and steal.
-    Rng rng(GetParam() ^ 0x5EED);
-    slam::FleetExecutor exec(3);
+};
+
+TEST_P(ThreadPoolPostProperty, PostRunsEveryTaskExactlyOnce)
+{
+    // Randomised mix of caller posts and task-side re-posts (how a
+    // fleet turn requeues itself): no task is lost or run twice.
+    Rng rng(0x5EED ^ GetParam());
     constexpr size_t kTasks = 200;
-    std::vector<std::atomic<int>> runs(kTasks);
+    std::vector<std::atomic<int>> runs(2 * kTasks);
     for (auto &r : runs)
         r.store(0);
-    for (size_t i = 0; i < kTasks; ++i) {
-        auto task = [&runs, i] {
-            runs[i].fetch_add(1, std::memory_order_relaxed);
-        };
-        if (rng.uniformInt(2) == 0)
-            exec.post(task);
-        else
-            exec.postTo(rng.uniformInt(exec.workerCount()), task);
+    std::atomic<size_t> finished{0};
+    size_t expected = 0;
+    {
+        ThreadPool pool(GetParam());
+        for (size_t i = 0; i < kTasks; ++i) {
+            bool repost = rng.uniformInt(3) == 0;
+            expected += repost ? 2 : 1;
+            pool.post([&pool, &runs, &finished, i, repost] {
+                runs[i].fetch_add(1, std::memory_order_relaxed);
+                if (repost) {
+                    pool.post([&runs, &finished, i] {
+                        runs[kTasks + i].fetch_add(
+                            1, std::memory_order_relaxed);
+                        finished.fetch_add(1);
+                    });
+                }
+                finished.fetch_add(1);
+            });
+        }
+        while (finished.load() < expected)
+            std::this_thread::yield();
     }
-    exec.drain();
-    for (size_t i = 0; i < kTasks; ++i)
-        ASSERT_EQ(1, runs[i].load()) << "task " << i;
-    EXPECT_EQ(kTasks, exec.tasksPosted());
-    EXPECT_EQ(kTasks, exec.tasksCompleted());
+    size_t ran = 0;
+    for (size_t i = 0; i < runs.size(); ++i) {
+        ASSERT_LE(runs[i].load(), 1) << "task " << i << " ran twice";
+        ran += static_cast<size_t>(runs[i].load());
+    }
+    EXPECT_EQ(expected, ran);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FleetStealQueueProperty,
-                         ::testing::Values(1u, 7u, 42u, 1337u));
+TEST_P(ThreadPoolPostProperty, DestructorRunsQueuedTasks)
+{
+    // Every worker is parked on a gate while tasks queue up behind
+    // them; another thread opens the gate 20 ms after the pool goes
+    // out of scope, so teardown begins with the tasks still queued.
+    // The destructor must still run every queued task — and the
+    // follow-up each gate task posts during teardown — before it joins.
+    const size_t workers = GetParam();
+    constexpr size_t kQueued = 32;
+    std::vector<std::atomic<int>> queued(kQueued), followups(workers);
+    for (auto &r : queued)
+        r.store(0);
+    for (auto &r : followups)
+        r.store(0);
+    std::atomic<bool> open{false};
+    std::atomic<size_t> parked{0};
+    std::thread opener;
+    {
+        ThreadPool pool(workers);
+        for (size_t w = 0; w < workers; ++w) {
+            pool.post([&pool, &open, &parked, &followups, w] {
+                parked.fetch_add(1);
+                while (!open.load())
+                    std::this_thread::yield();
+                pool.post([&followups, w] { followups[w].fetch_add(1); });
+            });
+        }
+        for (size_t i = 0; i < kQueued; ++i)
+            pool.post([&queued, i] { queued[i].fetch_add(1); });
+        while (parked.load() < workers)
+            std::this_thread::yield();
+        opener = std::thread([&open] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            open.store(true);
+        });
+    }
+    opener.join();
+    for (size_t i = 0; i < kQueued; ++i)
+        EXPECT_EQ(1, queued[i].load()) << "queued task " << i;
+    for (size_t w = 0; w < workers; ++w)
+        EXPECT_EQ(1, followups[w].load()) << "teardown post " << w;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workers, ThreadPoolPostProperty,
+    ::testing::Values(size_t(1), size_t(2), size_t(3), size_t(4)),
+    [](const ::testing::TestParamInfo<size_t> &info) {
+        return "workers" + std::to_string(info.param);
+    });
 
 } // namespace rtgs

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/rtgs_slam.hh"
 #include "image/metrics.hh"
 #include "slam/evaluation.hh"
@@ -188,6 +191,48 @@ TEST(RtgsSlamTest, WorksWithGsSlamProfile)
     auto ate = slam::computeAte(rtgs.system().trajectory(),
                                 gtTrajectory());
     EXPECT_LT(ate.rmse, 0.3) << "plug-and-play on GS-SLAM profile";
+}
+
+TEST(RtgsSlamTest, QuickstartPosesStayOnSo3)
+{
+    // Regression: the constant-velocity prediction R1 R0^T R1 treats
+    // the transpose as the inverse, so any loss of orthonormality grew
+    // each frame until the quickstart's poses reached ~1e33 m and its
+    // ATE printed inf — while every pose still looked finite. A sync
+    // run of the quickstart settings must keep every rotation on SO(3).
+    data::DatasetSpec spec = data::DatasetSpec::tumLike(Real(0.2));
+    spec.trajectory.frameCount = 24;
+    spec.trajectory.revolutions = Real(0.12);
+    data::SyntheticDataset ds(spec);
+    RtgsSlamConfig cfg;
+    cfg.base = slam::SlamConfig::forAlgorithm(slam::BaseAlgorithm::MonoGs);
+    cfg.base.tracker.iterations = 12;
+    cfg.base.mapper.iterations = 15;
+    cfg.gate.enabled = true;
+    cfg.base.multiViewWindow = 2;
+    cfg.base.health.enabled = true;
+    cfg.base.reloc.enabled = true;
+    RtgsSlam rtgs(cfg, ds.intrinsics());
+    std::vector<SE3> gt;
+    for (u32 f = 0; f < ds.frameCount(); ++f) {
+        rtgs.processFrame(ds.frame(f));
+        gt.push_back(ds.gtPose(f));
+    }
+
+    const std::vector<SE3> &trajectory = rtgs.system().trajectory();
+    ASSERT_EQ(gt.size(), trajectory.size());
+    for (size_t i = 0; i < trajectory.size(); ++i) {
+        Mat3f rtr = trajectory[i].rot.transpose() * trajectory[i].rot;
+        Real worst = 0;
+        for (int r = 0; r < 3; ++r)
+            for (int c = 0; c < 3; ++c)
+                worst = std::max(worst, std::abs(rtr(r, c) -
+                                                 Real(r == c ? 1 : 0)));
+        EXPECT_LT(worst, Real(1e-4)) << "pose " << i << " left SO(3)";
+    }
+    slam::AteResult ate = slam::computeAte(trajectory, gt);
+    EXPECT_TRUE(std::isfinite(ate.rmse));
+    EXPECT_LT(ate.rmse, 0.3);
 }
 
 TEST(RtgsSlamTest, TamingSurvivesDensificationGrowth)

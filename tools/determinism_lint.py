@@ -47,15 +47,14 @@ into mechanical checks over the source tree:
                         faithfully-rounded exp is the sanctioned,
                         marker-delimited exception.
   tsan-filter           Every test file that uses ThreadPool /
-                        MapWorker / BoundedQueue / FleetExecutor /
-                        FleetRuntime / WorkStealingQueue must have at
-                        least one test matched by the thread-sanitizer
-                        job's --gtest_filter allowlist in ci.yml, so
-                        new concurrency tests cannot silently dodge
-                        TSan.
+                        MapWorker / BoundedQueue / FleetRuntime must
+                        have at least one test matched by the
+                        thread-sanitizer job's --gtest_filter allowlist
+                        in ci.yml, so new concurrency tests cannot
+                        silently dodge TSan.
   global-pool           No globalPool() reference in the fleet layer
                         (src/slam/fleet_*): fleet code must run on the
-                        injected shared executor; reaching for the
+                        fleet's own pool; reaching for the
                         process-global pool reintroduces the hidden
                         cross-session coupling the fleet exists to
                         remove.
@@ -293,7 +292,7 @@ def lint_file(src, relpath):
         if is_fleet and GLOBAL_POOL_RE.search(line):
             hit(lineno, "global-pool",
                 "globalPool() referenced from the fleet layer; fleet "
-                "code runs on the injected shared executor — the "
+                "code runs on the fleet's own pool — the "
                 "process-global pool would couple sessions behind the "
                 "scheduler's back")
         if is_row_kernel and DOUBLE_RE.search(line):
@@ -393,12 +392,12 @@ def check_cow_raw_access(src, relpath):
 
 CONCURRENCY_TOKEN_RE = re.compile(
     r"\bThreadPool\b|\bMapWorker\b|\bBoundedQueue\b|\bparallelForChunks\b|"
-    r"\bFleetExecutor\b|\bFleetRuntime\b|\bWorkStealingQueue\b")
+    r"\bFleetRuntime\b")
 # Matched against the RAW text: the comment/string stripper blanks
 # include paths (they are string literals).
 CONCURRENCY_INCLUDE_RE = re.compile(
     r'#include\s+"(common/thread_pool|common/bounded_queue|'
-    r'slam/map_worker|slam/fleet_executor|slam/fleet_runtime)\.hh"')
+    r'slam/map_worker|slam/fleet_runtime)\.hh"')
 TEST_DECL_RE = re.compile(
     r"\bTEST(?:_F|_P)?\s*\(\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)")
 GTEST_FILTER_RE = re.compile(r"--gtest_filter=['\"]?([^'\"\s]+)")

@@ -2,9 +2,9 @@
 // det-lint-expect: global-pool
 //
 // Fleet code reaching for the process-global thread pool: sessions
-// hosted by the fleet must run every task on the injected shared
-// executor, or scheduling escapes the fairness/backpressure contract
-// and couples sessions behind the scheduler's back.
+// hosted by the fleet must run every task on the fleet's own pool, or
+// scheduling escapes the fairness/backpressure contract and couples
+// sessions behind the scheduler's back.
 #include "common/thread_pool.hh"
 
 namespace rtgs::slam
