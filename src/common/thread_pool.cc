@@ -17,9 +17,10 @@ thread_local ThreadPool *tl_current_pool = nullptr;
 
 ThreadPool::ThreadPool(size_t num_threads)
 {
-    if (num_threads == 0) {
-        num_threads = std::max(1u, std::thread::hardware_concurrency());
-    }
+    // A parallelFor caller runs chunks alongside the workers, so the
+    // default leaves one core to it.
+    if (num_threads == 0)
+        num_threads = std::max(2u, std::thread::hardware_concurrency()) - 1;
     workers_.reserve(num_threads);
     for (size_t i = 0; i < num_threads; ++i)
         workers_.emplace_back([this] { workerLoop(); });

@@ -50,7 +50,9 @@ class ThreadPool
     /**
      * Create a pool.
      *
-     * @param num_threads Worker count; 0 selects hardware concurrency.
+     * @param num_threads Worker count; 0 selects
+     *        max(1, hardware_concurrency - 1), so that the workers plus
+     *        a parallelFor caller (which runs chunks too) fill the cores.
      */
     explicit ThreadPool(size_t num_threads = 0);
     ~ThreadPool();
@@ -108,7 +110,7 @@ class ThreadPool
     bool stopping_ RTGS_GUARDED_BY(mutex_) = false;
 };
 
-/** Process-wide shared pool, lazily created. */
+/** Process-wide shared pool with the default worker count, lazily created. */
 ThreadPool &globalPool();
 
 } // namespace rtgs

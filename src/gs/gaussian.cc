@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <thread>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
@@ -20,7 +21,8 @@ parallelCopyBytes(void *dst, const void *src, size_t bytes)
         return; // empty columns have null data(); memcpy(null) is UB
     // Below this size the parallelFor dispatch costs more than the copy.
     constexpr size_t parallelThreshold = size_t(1) << 20;
-    if (bytes < parallelThreshold || globalPool().size() <= 1) {
+    if (bytes < parallelThreshold ||
+        std::thread::hardware_concurrency() <= 1) {
         std::memcpy(dst, src, bytes);
         return;
     }

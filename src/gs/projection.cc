@@ -73,7 +73,7 @@ clampedCamPoint(const Intrinsics &intr, const Vec3f &t, bool &clamped_x,
 
 ProjectedCloud
 projectGaussians(const GaussianCloud &cloud, const Camera &camera,
-                 const RenderSettings &settings)
+                 const RenderSettings &settings, ThreadPool &pool)
 {
     ProjectedCloud out;
     out.items.resize(cloud.size());
@@ -97,7 +97,7 @@ projectGaussians(const GaussianCloud &cloud, const Camera &camera,
 
     // Each Gaussian writes only its own AoS record and SoA slots, so the
     // loop is embarrassingly parallel and deterministic.
-    globalPool().parallelForChunks(
+    pool.parallelForChunks(
         0, cloud.size(), [&](size_t lo, size_t hi) {
         for (size_t k = lo; k < hi; ++k) {
             Projected2D &p = out.items[k];
@@ -106,7 +106,8 @@ projectGaussians(const GaussianCloud &cloud, const Camera &camera,
                 continue;
 
             Vec3f t = camera.pose.apply(positions[k]);
-            if (t.z < settings.nearClip || t.z > settings.farClip)
+            // Written so that a NaN depth fails the test as well.
+            if (!(t.z >= settings.nearClip && t.z <= settings.farClip))
                 continue;
 
             // 2D mean via exact pinhole projection.
@@ -143,6 +144,15 @@ projectGaussians(const GaussianCloud &cloud, const Camera &camera,
             if (radius < Real(0.5))
                 continue;
 
+            // A non-finite position, scale or rotation must not reach
+            // binning, whose footprint rect casts floor() of the mean
+            // and radius to an integer tile coordinate.
+            Sym2f conic = cov_blur.inverse();
+            if (!std::isfinite(mean2d.x) || !std::isfinite(mean2d.y) ||
+                !std::isfinite(radius) || !std::isfinite(conic.xx) ||
+                !std::isfinite(conic.xy) || !std::isfinite(conic.yy))
+                continue;
+
             // Cull splats entirely outside the image (with footprint
             // margin).
             if (mean2d.x + radius < 0 ||
@@ -155,7 +165,7 @@ projectGaussians(const GaussianCloud &cloud, const Camera &camera,
             p.mean2d = mean2d;
             p.depth = t.z;
             p.cov2d = cov2d;
-            p.conic = cov_blur.inverse();
+            p.conic = conic;
             p.opacity = sigmoid(opacity_logits.load(k));
 
             Vec3f raw = sh_coeffs.load(k) * shC0 + Vec3f{0.5f, 0.5f, 0.5f};

@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "common/thread_pool.hh"
 #include "geometry/camera.hh"
 #include "gs/gaussian.hh"
 #include "gs/pipeline_config.hh"
@@ -105,13 +106,15 @@ struct ProjectedCloud
 
 /**
  * Project all active Gaussians through the camera, in parallel over
- * Gaussians (each writes only its own record, so the result is
- * deterministic). Masked or culled Gaussians produce entries with
- * valid = false so indices stay aligned with the cloud.
+ * Gaussians on `pool` (each writes only its own record, so the result
+ * is deterministic). Masked or culled Gaussians produce entries with
+ * valid = false so indices stay aligned with the cloud; a Gaussian
+ * whose depth, 2D mean, radius or conic is not finite is culled.
  */
 ProjectedCloud projectGaussians(const GaussianCloud &cloud,
                                 const Camera &camera,
-                                const RenderSettings &settings);
+                                const RenderSettings &settings,
+                                ThreadPool &pool = globalPool());
 
 /**
  * Frustum-clamped camera point used for the EWA covariance Jacobian.

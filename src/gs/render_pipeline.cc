@@ -118,12 +118,13 @@ RenderPipeline::forward(const GaussianCloud &cloud,
     ctx.camera = camera;
     ctx.grid = TileGrid(camera.intr.width, camera.intr.height,
                         settings_.tileSize);
-    ctx.projected = projectGaussians(cloud, camera, settings_);
-    ctx.bins = intersectTiles(ctx.projected, ctx.grid);
-    sortTilesByDepth(ctx.bins, ctx.projected);
+    ThreadPool &pool = this->pool();
+    ctx.projected = projectGaussians(cloud, camera, settings_, pool);
+    ctx.bins = intersectTiles(ctx.projected, ctx.grid, pool);
+    sortTilesByDepth(ctx.bins, ctx.projected, pool);
 
     ctx.result = makeRenderResult(ctx.grid);
-    pool().parallelForChunks(
+    pool.parallelForChunks(
         0, ctx.grid.tileCount(), [&](size_t lo, size_t hi) {
             for (size_t t = lo; t < hi; ++t)
                 rasterizeTile(static_cast<u32>(t), ctx.projected,

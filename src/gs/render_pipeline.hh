@@ -109,9 +109,11 @@ class RenderPipeline
     RenderSettings &settings() { return settings_; }
 
     /**
-     * Thread pool override, mainly for tests that pin a worker count;
-     * nullptr (the default) selects the process-wide globalPool(). All
-     * pipeline outputs are bitwise independent of the pool size.
+     * Thread pool override for every stage of forward and backward
+     * (projection, binning, sort, rasterise, backward), mainly for
+     * tests that pin a worker count; nullptr (the default) selects the
+     * process-wide globalPool(). All pipeline outputs are bitwise
+     * independent of the pool size.
      */
     void setPool(ThreadPool *pool) { pool_ = pool; }
 

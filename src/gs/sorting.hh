@@ -3,13 +3,14 @@
  * Step 2 (Sorting): order each tile's Gaussians front-to-back by
  * camera-space depth so alpha blending composites correctly.
  *
- * One LSD radix sort over the packed (tileId << 32) | depthBits keys
- * orders the whole flat intersection buffer at once: tile grouping is
- * preserved (tile id occupies the high bits) and every tile range comes
- * out depth-sorted — no per-tile comparison sort, no indirect depth
- * loads in the compare path. Passes run in parallel chunks with stable
- * scatter, so ties keep their ascending-Gaussian-id order exactly like
- * the old per-tile std::stable_sort.
+ * One tile-parallel pass sorts every tile's range of the flat index
+ * buffer in place. Each range is ordered by the 64-bit key
+ * (depthBits << 32) | id in a buffer owned by the thread sorting it:
+ * positive IEEE-754 depths compare like their bit patterns, and ids are
+ * unique within a tile, so every key is distinct and equal depths come
+ * out in ascending id order. intersectTiles emits every range in
+ * ascending id order, so this is exactly the order a stable
+ * comparison sort by depth gives (sortTilesByDepthReference).
  */
 
 #ifndef RTGS_GS_SORTING_HH
@@ -20,20 +21,18 @@
 namespace rtgs::gs
 {
 
-/** Sort every tile range in place by ascending depth (stable). */
-void sortTilesByDepth(TileBins &bins, const ProjectedCloud &projected);
+/**
+ * Sort every tile range in place by ascending projected depth
+ * (projected.soa.depth), ties by ascending Gaussian id, in parallel over
+ * tiles on `pool`. Binned depths must be positive: projectGaussians
+ * keeps only depths in [nearClip, farClip], and nearClip is positive.
+ */
+void sortTilesByDepth(TileBins &bins, const ProjectedCloud &projected,
+                      ThreadPool &pool = globalPool());
 
 /** True if every tile range is in non-decreasing depth order. */
 bool tilesAreDepthSorted(const TileBins &bins,
                          const ProjectedCloud &projected);
-
-/**
- * Stable LSD radix sort of (key, value) pairs by key, in parallel
- * 8-bit-digit passes. Only digits below bits_used are processed, and
- * passes whose digit is constant across all keys are skipped.
- */
-void radixSortPairs(std::vector<u64> &keys, std::vector<u32> &values,
-                    u32 bits_used);
 
 } // namespace rtgs::gs
 

@@ -67,7 +67,8 @@ footprintRect(const Projected2D &p, const TileGrid &grid)
 } // namespace
 
 TileBins
-intersectTiles(const ProjectedCloud &projected, const TileGrid &grid)
+intersectTiles(const ProjectedCloud &projected, const TileGrid &grid,
+               ThreadPool &pool)
 {
     TileBins bins;
     bins.tiles = grid.tileCount();
@@ -77,7 +78,6 @@ intersectTiles(const ProjectedCloud &projected, const TileGrid &grid)
     if (n == 0 || bins.tiles == 0)
         return bins;
 
-    ThreadPool &pool = globalPool();
     // Fixed chunk boundaries (independent of pool scheduling) make the
     // scatter stable: chunk c's slice of each tile's range starts right
     // after the slices of chunks 0..c-1, so ids land in ascending
@@ -123,8 +123,6 @@ intersectTiles(const ProjectedCloud &projected, const TileGrid &grid)
     bins.indices.resize(total);
 
     // Pass 2 (parallel over Gaussians): scatter ids into tile ranges.
-    // Sort keys are derived later by sortTilesByDepth, always from the
-    // depths current at sort time.
     pool.parallelFor(0, nchunks, [&](size_t c) {
         size_t lo = c * chunk;
         size_t hi = std::min(n, lo + chunk);

@@ -48,21 +48,14 @@ struct TileGrid
  * Flat per-tile Gaussian index bins. Tile t owns the contiguous range
  * indices[offsets[t] .. offsets[t+1]) of Gaussian ids (into the
  * ProjectedCloud). intersectTiles emits each tile's ids in ascending
- * Gaussian order; sortTilesByDepth reorders every range front-to-back.
- *
- * keys holds the packed (tileId << 32) | depthBits radix-sort key for
- * each slot of indices; positive-float depth bits compare like the
- * depths themselves, so one LSD radix pass sequence over the keys
- * depth-sorts every tile range at once. The keys are filled by
- * sortTilesByDepth from the depths current at sort time — binning
- * leaves them empty.
+ * Gaussian order; sortTilesByDepth reorders every range front-to-back
+ * in place.
  */
 struct TileBins
 {
     u32 tiles = 0;             //!< tile count (== offsets.size() - 1)
     std::vector<u32> offsets;  //!< exclusive prefix sums, size tiles + 1
     std::vector<u32> indices;  //!< flat Gaussian ids, grouped by tile
-    std::vector<u64> keys;     //!< packed sort keys, parallel to indices
 
     /** Number of Gaussians binned to tile t. */
     u32 count(u32 tile) const
@@ -80,26 +73,14 @@ struct TileBins
     u64 totalIntersections() const { return indices.size(); }
 };
 
-/** Pack a radix key: tile id in the high word, depth bits in the low. */
-inline u64
-packTileDepthKey(u32 tile, Real depth)
-{
-    // Positive IEEE-754 floats order identically to their bit patterns;
-    // depths are in (nearClip, farClip], so no sign handling is needed.
-    u32 depth_bits;
-    static_assert(sizeof(depth_bits) == sizeof(depth));
-    __builtin_memcpy(&depth_bits, &depth, sizeof(depth_bits));
-    return (static_cast<u64>(tile) << 32) | depth_bits;
-}
-
 /**
  * Assign each valid projected Gaussian to all tiles it overlaps.
- * Parallel over Gaussians; the scatter is stable, so each tile's range
- * lists ids in ascending Gaussian order (the order the old per-tile
- * push_back loop produced).
+ * Parallel over Gaussians on `pool`; the scatter is stable, so each
+ * tile's range lists ids in ascending Gaussian order.
  */
 TileBins intersectTiles(const ProjectedCloud &projected,
-                        const TileGrid &grid);
+                        const TileGrid &grid,
+                        ThreadPool &pool = globalPool());
 
 } // namespace rtgs::gs
 

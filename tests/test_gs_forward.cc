@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "gs/render_pipeline.hh"
 
@@ -64,6 +65,40 @@ TEST(Projection, OffscreenGaussianIsCulled)
     cloud.pushIsotropic({-50, 0, 2}, Real(0.1), Real(0.5), {1, 0, 0});
     ProjectedCloud proj = projectGaussians(cloud, testCamera(), {});
     EXPECT_FALSE(proj[0].valid);
+}
+
+TEST(Projection, NonFiniteGaussianIsCulledAndLeavesImageUnchanged)
+{
+    // A NaN depth makes both `z < near` and `z > far` false, and a NaN
+    // scale gives a NaN radius and conic. Left valid, either Gaussian
+    // reaches binning, where casting floor(NaN) to a tile coordinate is
+    // undefined (on x86 it bins the Gaussian to tile 0, which it paints).
+    const Real nan = std::numeric_limits<Real>::quiet_NaN();
+    GaussianCloud clean;
+    clean.pushIsotropic({0.1f, 0.1f, 2}, Real(0.05), Real(0.7),
+                        {0, 1, 0});
+    GaussianCloud dirty = clean;
+    dirty.pushIsotropic({nan, nan, nan}, Real(0.2), Real(0.9), {1, 0, 0});
+    dirty.pushIsotropic({0, 0, 2}, Real(0.2), Real(0.9), {1, 0, 0});
+    dirty.logScales.mut()[2] = {nan, nan, nan};
+
+    RenderPipeline pipe;
+    Camera cam = testCamera(64, 48);
+    ForwardContext want = pipe.forward(clean, cam);
+    ForwardContext got = pipe.forward(dirty, cam);
+
+    ASSERT_TRUE(got.projected[0].valid);
+    EXPECT_FALSE(got.projected[1].valid);
+    EXPECT_FALSE(got.projected[2].valid);
+    EXPECT_EQ(got.bins.totalIntersections(),
+              want.bins.totalIntersections());
+    for (size_t i = 0; i < want.result.image.pixelCount(); ++i) {
+        ASSERT_EQ(got.result.image[i].x, want.result.image[i].x) << i;
+        ASSERT_EQ(got.result.image[i].y, want.result.image[i].y) << i;
+        ASSERT_EQ(got.result.image[i].z, want.result.image[i].z) << i;
+        ASSERT_EQ(got.result.alpha[i], want.result.alpha[i]) << i;
+        ASSERT_EQ(got.result.depth[i], want.result.depth[i]) << i;
+    }
 }
 
 TEST(Projection, IsotropicCovarianceScalesWithFocal)
