@@ -58,7 +58,6 @@ struct ScenarioOutcome
     size_t recoveries = 0;       //!< completed recovery episodes
     size_t forcedKeyframes = 0;  //!< recovery re-anchors
     size_t mapJobsDropped = 0;   //!< queue-overflow evictions
-    size_t watchdogTrips = 0;
     size_t relocAttempts = 0;    //!< relocalization searches run
     size_t relocAccepted = 0;    //!< searches whose pose was accepted
     size_t relocCandidates = 0;  //!< candidate poses probe-scored
@@ -204,7 +203,6 @@ runScenario(const std::string &name, data::SyntheticDataset &ds,
         out.relocCandidates = reloc->candidatesScored();
     }
     out.mapJobsDropped = sys.mapJobsDropped();
-    out.watchdogTrips = sys.mapWatchdogTrips();
     out.ateRmse = slam::computeAte(sys.trajectory(), gt).rmse;
     if (tail_start > 0 && fault_start > 0) {
         // Head-anchored post-recovery accuracy: align on the pre-fault
@@ -527,7 +525,7 @@ main()
             "\"rejected_inputs\": %zu, \"held_poses\": %zu, "
             "\"frames_not_ok\": %zu, \"recoveries\": %zu, "
             "\"forced_keyframes\": %zu, \"map_jobs_dropped\": %zu, "
-            "\"watchdog_trips\": %zu, \"reloc_attempts\": %zu, "
+            "\"reloc_attempts\": %zu, "
             "\"reloc_accepted\": %zu, \"reloc_candidates\": %zu, "
             "\"frames_lost\": %u, \"occluded_frames\": %zu, "
             "\"blurred_frames\": %zu, \"ate_rmse\": %.6f, "
@@ -535,7 +533,7 @@ main()
             o.name.c_str(), o.framesSeen, o.framesDelivered,
             o.streamDropped, o.rejectedInputs, o.heldPoses,
             o.framesNotOk, o.recoveries, o.forcedKeyframes,
-            o.mapJobsDropped, o.watchdogTrips, o.relocAttempts,
+            o.mapJobsDropped, o.relocAttempts,
             o.relocAccepted, o.relocCandidates, o.framesLost,
             o.occludedFrames, o.blurredFrames, o.ateRmse, o.psnrDb,
             i + 1 == outcomes.size() ? "" : ",");

@@ -14,15 +14,13 @@
  * The gate must skip >= 40% of tracking iterations on the near-static
  * sequence for < 0.5 dB of PSNR.
  *
- * Since the batched-drain/COW-snapshot work the bench also runs (d): a
- * mapBatchSize ablation of the asynchronous mapping path on an
- * every-frame-keyframe (SplaTAM-like) burst workload, recording
+ * The bench also runs (d): the asynchronous mapping path on an
+ * every-frame-keyframe (SplaTAM-like) workload, recording
  * snapshot-publish wall time (copy-on-write refcount bumps vs the
  * deep-copy a pre-COW publish paid) and queue staleness (frames
  * between the snapshot tracking rendered and the newest map).
  *
- * Since the multi-view mapping work it also runs (e): a
- * multiViewWindow {0, 2, 4} ablation of the cross-keyframe mapping
+ * And (e): a mapper.multiViewWindow {0, 2, 4} ablation of the cross-keyframe mapping
  * step (each optimiser step renders up to B window keyframes and
  * applies one averaged update). B >= 2 changes the numerics, so the
  * quality ablation — wall-clock AND PSNR/ATE — is part of the
@@ -164,20 +162,18 @@ main()
                 "%.3f dB of PSNR (target: >=40%%, <0.5 dB)\n",
                 100.0 * skipped, psnr_drop);
 
-    // --- (d) async map-batching ablation (COW snapshots + batched
-    // drain). SplaTAM-like maps every frame, so queued keyframes form
-    // real bursts for the batched drain to absorb.
-    struct BatchRow
+    // --- (d) async mapping (COW snapshots). SplaTAM-like maps every
+    // frame, so the queue carries a keyframe per frame.
+    struct AsyncRow
     {
-        u32 batch;
         double wallSeconds, publishMsTotal, staleMean, ateRmse;
         u32 staleMax;
         u64 publishes;
         size_t keyframes;
     };
-    std::vector<BatchRow> batch_rows;
+    AsyncRow async_row{};
     double deepcopy_ms = 0;
-    for (u32 batch : {1u, 2u, 4u}) {
+    {
         data::DatasetSpec spec =
             benchSpec(data::DatasetSpec::tumLike(benchScale()));
         data::SyntheticDataset ds(spec);
@@ -186,51 +182,45 @@ main()
         cfg.enablePruning = false;
         cfg.enableDownsampling = false;
         cfg.base.mapQueueDepth = 4;
-        cfg.base.mapBatchSize = batch;
         RunOutcome out = runSequence(ds, cfg);
 
-        BatchRow row{};
-        row.batch = batch;
-        row.wallSeconds = out.wallSeconds;
-        row.ateRmse = out.ateRmse;
+        async_row.wallSeconds = out.wallSeconds;
+        async_row.ateRmse = out.ateRmse;
         slam::SnapshotStats stats;
         for (const auto &r : out.reports) {
             const auto &b = r.base;
             if (b.isKeyframe)
-                ++row.keyframes;
+                ++async_row.keyframes;
             stats.add(b);
             if (b.snapshotGeneration > 0) {
-                row.staleMax =
-                    std::max(row.staleMax, b.snapshotStaleFrames);
+                async_row.staleMax =
+                    std::max(async_row.staleMax, b.snapshotStaleFrames);
             }
         }
-        row.publishMsTotal = stats.publishSeconds * 1e3;
-        row.publishes = stats.publishes;
-        row.staleMean = stats.meanStaleFrames();
-        batch_rows.push_back(row);
+        async_row.publishMsTotal = stats.publishSeconds * 1e3;
+        async_row.publishes = stats.publishes;
+        async_row.staleMean = stats.meanStaleFrames();
 
-        if (batch == 1) {
-            // Reference: what ONE pre-COW publish paid — a full
-            // materialisation of every column, timed on a cloud sized
-            // like the maps this ablation produced.
-            gs::GaussianCloud final_cloud;
-            for (size_t i = 0; i < out.finalGaussians; ++i) {
-                final_cloud.pushIsotropic(
-                    {static_cast<Real>(i % 97) * Real(0.01), 0, 2},
-                    Real(0.05), Real(0.5), {0.5f, 0.5f, 0.5f});
-            }
-            auto t0 = std::chrono::steady_clock::now();
-            gs::GaussianCloud deep = final_cloud;
-            deep.positions.mut();
-            deep.logScales.mut();
-            deep.rotations.mut();
-            deep.opacityLogits.mut();
-            deep.shCoeffs.mut();
-            deep.active.mut();
-            deep.ids.mut();
-            deepcopy_ms = std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0).count() * 1e3;
+        // Reference: what ONE pre-COW publish paid — a full
+        // materialisation of every column, timed on a cloud sized like
+        // the map this run produced.
+        gs::GaussianCloud final_cloud;
+        for (size_t i = 0; i < out.finalGaussians; ++i) {
+            final_cloud.pushIsotropic(
+                {static_cast<Real>(i % 97) * Real(0.01), 0, 2},
+                Real(0.05), Real(0.5), {0.5f, 0.5f, 0.5f});
         }
+        auto t0 = std::chrono::steady_clock::now();
+        gs::GaussianCloud deep = final_cloud;
+        deep.positions.mut();
+        deep.logScales.mut();
+        deep.rotations.mut();
+        deep.opacityLogits.mut();
+        deep.shCoeffs.mut();
+        deep.active.mut();
+        deep.ids.mut();
+        deepcopy_ms = std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - t0).count() * 1e3;
     }
 
     // Publish-cost scaling probe: COW publication is O(columns) — a
@@ -275,28 +265,22 @@ main()
         scale_rows.push_back({n, cow_ms, deep_ms});
     }
 
-    TablePrinter batch_table({"mapBatchSize", "wall s", "publishes",
+    TablePrinter async_table({"wall s", "publishes",
                               "publish ms (total)", "stale mean",
                               "stale max", "ATE"});
-    batch_table.setTitle("\n(d) async map-batching ablation "
+    async_table.setTitle("\n(d) async mapping "
                          "(SplaTAM-like, queue depth 4)");
-    for (const BatchRow &r : batch_rows) {
-        batch_table.addRow(
-            {std::to_string(r.batch),
-             TablePrinter::num(r.wallSeconds, 3),
-             std::to_string(r.publishes),
-             TablePrinter::num(r.publishMsTotal, 3),
-             TablePrinter::num(r.staleMean, 2),
-             std::to_string(r.staleMax),
-             TablePrinter::num(r.ateRmse, 4)});
-    }
-    batch_table.print();
-    std::printf("\nCOW snapshot publish: %.3f ms total across the "
-                "batch=1 run (deep-copying the final %s map once "
-                "would cost %.3f ms)\n",
-                batch_rows.empty() ? 0.0
-                                   : batch_rows[0].publishMsTotal,
-                "SLAM", deepcopy_ms);
+    async_table.addRow({TablePrinter::num(async_row.wallSeconds, 3),
+                        std::to_string(async_row.publishes),
+                        TablePrinter::num(async_row.publishMsTotal, 3),
+                        TablePrinter::num(async_row.staleMean, 2),
+                        std::to_string(async_row.staleMax),
+                        TablePrinter::num(async_row.ateRmse, 4)});
+    async_table.print();
+    std::printf("\nCOW snapshot publish: %.3f ms total across the run "
+                "(deep-copying the final SLAM map once would cost "
+                "%.3f ms)\n",
+                async_row.publishMsTotal, deepcopy_ms);
 
     TablePrinter scale_table({"map size", "COW publish ms",
                               "deep-copy publish ms"});
@@ -331,7 +315,7 @@ main()
         cfg.enablePruning = false;
         cfg.enableDownsampling = false;
         cfg.base.mapper.windowSize = 4;
-        cfg.base.multiViewWindow = mv;
+        cfg.base.mapper.multiViewWindow = mv;
         RunOutcome out = runSequence(ds, cfg);
 
         MultiViewRow row{};
@@ -399,7 +383,7 @@ main()
     }
     std::fprintf(out,
                  "  ],\n"
-                 "  \"map_batching\": {\n"
+                 "  \"async_mapping\": {\n"
                  "    \"algorithm\": \"SplaTAM\",\n"
                  "    \"map_queue_depth\": 4,\n"
                  "    \"snapshot_deepcopy_ms_reference\": %.4f,\n"
@@ -414,23 +398,19 @@ main()
                      r.gaussians, r.cowMs, r.deepMs,
                      i + 1 == scale_rows.size() ? "" : ",");
     }
-    std::fprintf(out,
-                 "    ],\n"
-                 "    \"rows\": [\n");
-    for (size_t i = 0; i < batch_rows.size(); ++i) {
-        const BatchRow &r = batch_rows[i];
-        std::fprintf(
-            out,
-            "      {\"map_batch_size\": %u, \"wall_seconds\": %.4f, "
-            "\"keyframes\": %zu, \"snapshot_publishes\": %llu, "
-            "\"snapshot_publish_ms\": %.4f, "
-            "\"queue_stale_frames_mean\": %.3f, "
-            "\"queue_stale_frames_max\": %u, \"ate_rmse\": %.5f}%s\n",
-            r.batch, r.wallSeconds, r.keyframes,
-            static_cast<unsigned long long>(r.publishes),
-            r.publishMsTotal, r.staleMean, r.staleMax, r.ateRmse,
-            i + 1 == batch_rows.size() ? "" : ",");
-    }
+    std::fprintf(
+        out,
+        "    ],\n"
+        "    \"rows\": [\n"
+        "      {\"wall_seconds\": %.4f, "
+        "\"keyframes\": %zu, \"snapshot_publishes\": %llu, "
+        "\"snapshot_publish_ms\": %.4f, "
+        "\"queue_stale_frames_mean\": %.3f, "
+        "\"queue_stale_frames_max\": %u, \"ate_rmse\": %.5f}\n",
+        async_row.wallSeconds, async_row.keyframes,
+        static_cast<unsigned long long>(async_row.publishes),
+        async_row.publishMsTotal, async_row.staleMean, async_row.staleMax,
+        async_row.ateRmse);
     std::fprintf(out,
                  "    ]\n"
                  "  },\n"

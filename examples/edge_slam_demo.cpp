@@ -82,19 +82,18 @@ main()
         cfg.base.tracker.iterations = 10;
         cfg.base.mapper.iterations = 12;
         // The enhanced run routes keyframe mapping through the async
-        // machinery (batched MapWorker drain, copy-on-write snapshot
+        // machinery (MapWorker queue, copy-on-write snapshot
         // publication, id-translated in-tracking prunes). The loop
         // below drains after every frame so each keyframe's hardware
         // trace is exactly its own mapping work — the modelled
         // comparison needs exact attribution, which full overlap
-        // trades away (batches then form behind tracking instead).
+        // trades away.
         // Multi-view mapping: each optimiser step of the enhanced run
         // renders up to two window keyframes and applies one averaged
         // update (cross-keyframe render batching).
         if (enhanced) {
             cfg.base.mapQueueDepth = 2;
-            cfg.base.mapBatchSize = 2;
-            cfg.base.multiViewWindow = 2;
+            cfg.base.mapper.multiViewWindow = 2;
             // Health monitoring rides along for free on clean input
             // (byte-identical to monitor-off; docs/ROBUSTNESS.md),
             // and the relocalizer stands by as the active LOST exit.

@@ -29,8 +29,8 @@ main()
     // 2. RTGS on top of the MonoGS-like base algorithm, with the
     //    frame-level similarity gate scaling iteration budgets and
     //    keyframe mapping running asynchronously: up to two keyframes
-    //    queue behind tracking and drain as one batch, publishing one
-    //    copy-on-write tracking snapshot per batch. Each map optimiser
+    //    queue behind tracking, and each map job publishes one
+    //    copy-on-write tracking snapshot. Each map optimiser
     //    step renders up to two window keyframes and applies one
     //    averaged update (multi-view mapping; 0 = sequential recipe).
     core::RtgsSlamConfig config;
@@ -40,8 +40,7 @@ main()
     config.base.mapper.iterations = 15;
     config.gate.enabled = true;
     config.base.mapQueueDepth = 2;
-    config.base.mapBatchSize = 2;
-    config.base.multiViewWindow = 2;
+    config.base.mapper.multiViewWindow = 2;
     // Tracking-health monitor: validates input frames, watches for
     // divergence, and escalates recovery. Free on clean streams (a
     // monitor-on run is byte-identical to monitor-off) — see
@@ -118,7 +117,7 @@ main()
     std::printf("  multi-view map  : up to %u views per optimiser step "
                 "across %zu keyframes (window %u)\n",
                 max_map_views, keyframes,
-                config.base.multiViewWindow);
+                config.base.mapper.multiViewWindow);
     const slam::HealthMonitor *health = rtgs.system().healthMonitor();
     std::printf("  health          : %s (%zu input rejections, "
                 "%zu held poses, %zu recoveries, %zu map jobs "

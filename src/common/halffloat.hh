@@ -1,7 +1,7 @@
 /**
  * @file
- * Software fp16 (IEEE binary16) and bf16 (bfloat16) conversions with
- * round-to-nearest-even, used by the mixed-precision CowColumn storage.
+ * Software fp16 (IEEE binary16) conversions with round-to-nearest-even,
+ * used by the mixed-precision CowColumn storage.
  *
  * Pure integer implementations: bitwise-deterministic on every target,
  * independent of F16C availability, and safe in constant-evaluated
@@ -106,25 +106,6 @@ halfBitsToFloat(u16 h)
         ++exp;
     }
     return detail::bitsFloat(sign | ((exp + 112u) << 23) | (mant << 13));
-}
-
-/** fp32 -> bfloat16 bits, round-to-nearest-even. */
-inline u16
-floatToBf16Bits(float f)
-{
-    u32 x = detail::floatBits(f);
-    if ((x & 0x7FFFFFFFu) > 0x7F800000u)
-        return static_cast<u16>((x >> 16) | 0x0040u); // quiet the NaN
-    const u32 lsb = (x >> 16) & 1u;
-    x += 0x7FFFu + lsb;
-    return static_cast<u16>(x >> 16);
-}
-
-/** bfloat16 bits -> fp32 (exact: bf16 is truncated fp32). */
-inline float
-bf16BitsToFloat(u16 h)
-{
-    return detail::bitsFloat(static_cast<u32>(h) << 16);
 }
 
 } // namespace rtgs

@@ -26,7 +26,6 @@
 #define RTGS_COMMON_MUTEX_HH
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -81,7 +80,7 @@ class RTGS_SCOPED_CAPABILITY MutexLock
 /**
  * std::unique_lock over Mutex::native(), for condition-variable waits
  * and early manual unlock (e.g. unlock before notify). Constructed
- * locked. The capability is considered held across wait()/waitFor():
+ * locked. The capability is considered held across wait():
  * the wait atomically releases and reacquires the native mutex, so the
  * guarded state is protected both at the guarded reads before the wait
  * and at the predicate re-check after it.
@@ -105,15 +104,6 @@ class RTGS_SCOPED_CAPABILITY CvLock
 
     /** Block on `cv`; the capability is released and reacquired. */
     void wait(std::condition_variable &cv) { cv.wait(lock_); }
-
-    /** Timed wait; std::cv_status::timeout when the deadline passed. */
-    template <typename Clock, typename Duration>
-    std::cv_status
-    waitUntil(std::condition_variable &cv,
-              const std::chrono::time_point<Clock, Duration> &deadline)
-    {
-        return cv.wait_until(lock_, deadline);
-    }
 
   private:
     std::unique_lock<std::mutex> lock_;

@@ -72,24 +72,6 @@ ThreadPool::enqueue(std::function<void()> task)
     cv_.notify_one();
 }
 
-std::future<void>
-ThreadPool::submit(std::function<void()> task)
-{
-    // shared_ptr because std::function requires copyable callables and
-    // packaged_task is move-only.
-    auto packaged = std::make_shared<std::packaged_task<void()>>(
-        std::move(task));
-    std::future<void> future = packaged->get_future();
-    if (workers_.empty()) {
-        // No workers to hand the task to; run it synchronously so the
-        // future is still fulfilled.
-        (*packaged)();
-    } else {
-        enqueue([packaged] { (*packaged)(); });
-    }
-    return future;
-}
-
 void
 ThreadPool::post(std::function<void()> task)
 {

@@ -19,7 +19,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <queue>
 #include <thread>
 #include <vector>
@@ -83,17 +82,10 @@ class ThreadPool
                            const std::function<void(size_t, size_t)> &fn);
 
     /**
-     * Enqueue a standalone task and return a future that becomes ready
-     * when it finishes (exceptions propagate through the future).
-     * Unlike parallelFor the caller does not block or participate.
-     */
-    std::future<void> submit(std::function<void()> task);
-
-    /**
-     * Fire-and-forget variant of submit: no future, no packaged-task
-     * allocation. The task must not throw. Used by the asynchronous
-     * mapping stage and the fleet scheduler, which track completion
-     * themselves.
+     * Enqueue a standalone task (fire-and-forget: no future). Unlike
+     * parallelFor the caller does not block or participate. The task
+     * must not throw. Used by the asynchronous mapping stage and the
+     * fleet scheduler, which track completion themselves.
      */
     void post(std::function<void()> task);
 

@@ -18,11 +18,7 @@ RtgsSlam::RtgsSlam(const RtgsSlamConfig &config,
     // In-tracking pruning composes with asynchronous mapping (keep
     // masks are computed against the per-frame tracking clone and
     // translated onto the authoritative cloud through stable ids), so
-    // no config adjustment is needed here; read the system's view back
-    // so config() reflects what actually runs — including the
-    // normalisations SlamSystem applies (e.g. multiViewWindow copied
-    // over mapper.multiViewWindow).
-    config_.base = system_->config();
+    // no config adjustment is needed here.
     installHooks();
 }
 
@@ -77,7 +73,7 @@ RtgsSlam::installHooks()
                 // COW clone in async mode. On removal the compaction is
                 // mirrored either directly into the mapping optimiser
                 // (sync) or deferred through an id-translated prune
-                // request the next map batch applies (async; the
+                // request the next map job applies (async; the
                 // callback runs before the clone is compacted, so the
                 // keep mask still indexes the clone's current ids).
                 pruner_.onIteration(

@@ -53,7 +53,7 @@ GaussianCloud::push(const Vec3f &pos, const Vec3f &log_scale,
     positions.mut().push_back(pos);
     logScales.mut().push_back(log_scale);
     rotations.mut().push_back(rot);
-    // Colour/opacity may be stored packed (fp16/bf16); pushBack narrows
+    // Colour/opacity may be stored packed (fp16); pushBack narrows
     // at the column's storage precision.
     opacityLogits.pushBack(opacity_logit);
     shCoeffs.pushBack(sh);
@@ -135,7 +135,7 @@ GaussianCloud::clear()
 size_t
 GaussianCloud::parameterBytes() const
 {
-    // Sum the active representations so fp16/bf16 columns report their
+    // Sum the active representations so fp16 columns report their
     // halved footprint. (The stable-id column is COW bookkeeping, not a
     // model parameter.)
     return positions.byteSize() + logScales.byteSize() +

@@ -36,7 +36,7 @@ namespace rtgs::gs
 
 /**
  * Storage precision of one CowColumn. Full keeps the native fp32
- * representation; Half/BFloat16 pack every float lane into 16 bits
+ * representation; Half packs every float lane into IEEE fp16
  * (round-to-nearest-even on store, exact widen on load). Only
  * low-sensitivity columns (colour, opacity — see PipelineConfig) are
  * ever packed; positions/scales/rotations always stay Full. All
@@ -47,23 +47,7 @@ enum class ColumnPrecision : u8
 {
     Full = 0,
     Half = 1,
-    BFloat16 = 2,
 };
-
-/** Short name for logs/JSON ("fp32", "fp16", "bf16"). */
-inline const char *
-columnPrecisionName(ColumnPrecision p)
-{
-    switch (p) {
-      case ColumnPrecision::Half:
-        return "fp16";
-      case ColumnPrecision::BFloat16:
-        return "bf16";
-      case ColumnPrecision::Full:
-        break;
-    }
-    return "fp32";
-}
 
 namespace detail
 {
@@ -279,13 +263,8 @@ class CowColumn
             if (prec_ != ColumnPrecision::Full) {
                 float lanes[kLanes];
                 const u16 *src = packed_->data() + i * kLanes;
-                if (prec_ == ColumnPrecision::Half) {
-                    for (size_t l = 0; l < kLanes; ++l)
-                        lanes[l] = halfBitsToFloat(src[l]);
-                } else {
-                    for (size_t l = 0; l < kLanes; ++l)
-                        lanes[l] = bf16BitsToFloat(src[l]);
-                }
+                for (size_t l = 0; l < kLanes; ++l)
+                    lanes[l] = halfBitsToFloat(src[l]);
                 T v;
                 std::memcpy(&v, lanes, sizeof(T));
                 return v;
@@ -301,7 +280,7 @@ class CowColumn
         if constexpr (kLanes > 0) {
             if (prec_ != ColumnPrecision::Full) {
                 unsharePacked();
-                encode(prec_, v, packed_->data() + i * kLanes);
+                encode(v, packed_->data() + i * kLanes);
                 return;
             }
         }
@@ -317,7 +296,7 @@ class CowColumn
             if (prec_ != ColumnPrecision::Full) {
                 unsharePacked();
                 u16 enc[kLanes];
-                encode(prec_, v, enc);
+                encode(v, enc);
                 packed_->insert(packed_->end(), enc, enc + kLanes);
                 return;
             }
@@ -420,7 +399,7 @@ class CowColumn
                 auto fresh = std::make_shared<PackedStorage>();
                 fresh->resize(n * kLanes);
                 for (size_t i = 0; i < n; ++i)
-                    encode(p, load(i), fresh->data() + i * kLanes);
+                    encode(load(i), fresh->data() + i * kLanes);
                 packed_ = std::move(fresh);
                 data_ = sharedEmpty();
             }
@@ -475,21 +454,16 @@ class CowColumn
                     "raw access to a 16-bit packed column; use load()");
     }
 
-    /** Narrow one element's fp32 lanes to 16-bit scalars (RNE). */
+    /** Narrow one element's fp32 lanes to fp16 scalars (RNE). */
     static void
-    encode(ColumnPrecision p, const T &v, u16 *dst)
+    encode(const T &v, u16 *dst)
     {
         static_assert(kLanes == 0 || sizeof(T) == kLanes * sizeof(float),
                       "packable elements must be exactly fp32 lanes");
         float lanes[kLanes > 0 ? kLanes : 1];
         std::memcpy(lanes, &v, sizeof(T));
-        if (p == ColumnPrecision::Half) {
-            for (size_t l = 0; l < kLanes; ++l)
-                dst[l] = floatToHalfBits(lanes[l]);
-        } else {
-            for (size_t l = 0; l < kLanes; ++l)
-                dst[l] = floatToBf16Bits(lanes[l]);
-        }
+        for (size_t l = 0; l < kLanes; ++l)
+            dst[l] = floatToHalfBits(lanes[l]);
     }
 
     void

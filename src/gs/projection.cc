@@ -85,7 +85,7 @@ projectGaussians(const GaussianCloud &cloud, const Camera &camera,
 
     // Hoist the COW column views once; the loop then reads plain
     // vectors (no per-access shared-pointer indirection). Colour and
-    // opacity may be stored packed (fp16/bf16), so those two go through
+    // opacity may be stored packed (fp16), so those two go through
     // load() — the widen-on-load boundary of the mixed-precision
     // contract: everything downstream of here is fp32.
     const auto &active = cloud.active.view();

@@ -34,20 +34,6 @@ struct RenderPipeline::BackwardScratch
     std::vector<Twist> poseBlocks;        //!< per-block pose partials
 };
 
-/** Completion slot for a pool-deferred forward pass. */
-struct AsyncForward::State
-{
-    ForwardContext context;
-};
-
-ForwardContext
-AsyncForward::take()
-{
-    if (pending_.valid())
-        pending_.get(); // propagates any exception from the pass
-    return std::move(state_->context);
-}
-
 RenderPipeline::RenderPipeline(const RenderSettings &settings)
     : settings_(settings)
 {
@@ -131,29 +117,6 @@ RenderPipeline::forward(const GaussianCloud &cloud,
                               ctx.bins, ctx.grid, settings_, ctx.result);
         });
     return ctx;
-}
-
-AsyncForward
-RenderPipeline::forwardAsync(const GaussianCloud &cloud,
-                             const Camera &camera) const
-{
-    AsyncForward handle;
-    handle.state_ = std::make_shared<AsyncForward::State>();
-
-    // Deferring is only useful (and only safe against a take() that
-    // nothing can unblock) when a worker other than the caller exists
-    // to run the pass: a pool-resident caller needs a second worker.
-    ThreadPool &p = pool();
-    size_t needed = p.onWorkerThread() ? 2 : 1;
-    if (p.size() >= needed) {
-        auto state = handle.state_;
-        handle.pending_ = p.submit([this, state, cloud, camera] {
-            state->context = forward(cloud, camera);
-        });
-    } else {
-        handle.state_->context = forward(cloud, camera);
-    }
-    return handle;
 }
 
 void

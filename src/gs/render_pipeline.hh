@@ -9,7 +9,6 @@
 #ifndef RTGS_GS_RENDER_PIPELINE_HH
 #define RTGS_GS_RENDER_PIPELINE_HH
 
-#include <future>
 #include <memory>
 #include <vector>
 
@@ -66,29 +65,6 @@ struct ForwardContext
 };
 
 /**
- * A forward pass that may still be executing on the thread pool.
- * Returned by RenderPipeline::forwardAsync; take() blocks until the
- * pass has finished and yields its ForwardContext. The handle owns a
- * copy-on-write copy of the cloud it renders, so the caller's cloud
- * handle may be mutated (or destroyed) while the pass is in flight.
- */
-class AsyncForward
-{
-  public:
-    AsyncForward() = default;
-
-    /** Block until the forward pass finishes; yields its context. */
-    ForwardContext take();
-
-  private:
-    friend class RenderPipeline;
-    struct State;
-    std::shared_ptr<State> state_;
-    /** Valid only when the pass was deferred to the pool. */
-    std::future<void> pending_;
-};
-
-/**
  * Thread-parallel renderer. Logically stateless apart from settings —
  * the only mutable state is an internal pool of backward scratch
  * arenas, checked out under a mutex, so concurrent forward/backward
@@ -120,21 +96,6 @@ class RenderPipeline
     /** Steps 1-3: project, bin, sort, rasterise. */
     ForwardContext forward(const GaussianCloud &cloud,
                            const Camera &camera) const;
-
-    /**
-     * Multi-target forward: start Steps 1-3 for one view on the pool
-     * while the caller keeps working (a multi-view mapping step
-     * overlaps view v+1's forward with view v's backward this way).
-     * The pass runs on a pool worker when one can make progress
-     * (another worker exists besides a pool-resident caller) and
-     * inline otherwise, so take() never deadlocks; either way the
-     * result is bitwise identical to forward() — all pipeline outputs
-     * are pool-size independent. The cloud is captured by COW copy
-     * (O(columns)), so the caller may mutate its own handle before
-     * take().
-     */
-    AsyncForward forwardAsync(const GaussianCloud &cloud,
-                              const Camera &camera) const;
 
     /**
      * Steps 4-5 from a forward context and per-pixel loss gradients,

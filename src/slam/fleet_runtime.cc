@@ -5,17 +5,6 @@
 namespace rtgs::slam
 {
 
-namespace
-{
-/**
- * Watchdog forced onto fleet-hosted Block-policy async sessions (see
- * the deadlock guard in the header comment): long enough that it
- * never trips when a worker is free to drain, short enough that a
- * wedged enqueue degrades instead of stalling the fleet.
- */
-constexpr double kFleetMapWatchdogSeconds = 0.5;
-} // namespace
-
 FleetRuntime::FleetRuntime(const FleetConfig &config)
     : config_(config), pool_(config.workers == 0 ? 1 : config.workers),
       started_(!config.startPaused)
@@ -61,13 +50,6 @@ FleetRuntime::openSession(const FleetSessionConfig &config,
     cfg.frameQueueDepth = std::max<size_t>(1, cfg.frameQueueDepth);
     // Mapping drains share the fleet's threads.
     cfg.slam.mapExecutor = &pool_;
-    if (cfg.slam.mapQueueDepth > 0 &&
-        cfg.slam.mapOverflowPolicy == OverflowPolicy::Block &&
-        cfg.slam.mapWatchdogSeconds <= 0) {
-        // Deadlock guard (header comment): a Block push with no
-        // watchdog could park a worker behind its own drain task.
-        cfg.slam.mapWatchdogSeconds = kFleetMapWatchdogSeconds;
-    }
 
     MutexLock lock(mutex_);
     bool admit = active_ < config_.maxActiveSessions;

@@ -21,9 +21,9 @@
  *    still drain in arrival order, so per-session latency stays
  *    bounded by the fleet's total weight, not by the burst length.
  *  - At most ONE turn per session is in flight (the turnScheduled
- *    flag, same pattern as MapWorker's single-drainer ledger), so a
- *    session's frames process strictly sequentially — the fleet
- *    never changes a session's frame order, only where it runs.
+ *    flag), so a session's frames process strictly sequentially —
+ *    the fleet never changes a session's frame order, only where it
+ *    runs.
  *  - A startPaused fleet stages frames without posting turns until
  *    start(), which then schedules every admitted session with frames
  *    waiting, in session-id order.
@@ -49,11 +49,10 @@
  * the fleet's pool too (SlamConfig::mapExecutor is overridden at
  * admission), so tracking and mapping share the same threads.
  * Turns are quantum-bounded, so a posted map drain never starves
- * behind an unbounded task. Deadlock guard: a Block-policy map queue
- * with no watchdog could park a worker inside enqueue() while the
- * drain that would free it waits behind that very worker;
- * openSession() forces a watchdog on such configs so the push
- * degrades to drop-oldest instead of wedging the fleet.
+ * behind an unbounded task. A turn that has to wait for its session's
+ * mapping (a full Block queue, or the first snapshot) runs the queued
+ * map job itself instead of waiting for a drain task posted behind it,
+ * so even a one-worker fleet cannot deadlock on its own map queue.
  */
 
 #ifndef RTGS_SLAM_FLEET_RUNTIME_HH
@@ -160,8 +159,7 @@ class FleetRuntime
      * Admit, queue, or reject a new session. On Admitted/Queued,
      * `id_out` names the session; on Rejected it is kInvalidSession.
      * The session's SlamConfig is copied with mapExecutor pointed at
-     * the fleet's pool and (Block-policy async configs only) a
-     * watchdog forced — see the deadlock guard in the file comment.
+     * the fleet's pool.
      */
     AdmitDecision openSession(const FleetSessionConfig &config,
                               SessionId &id_out);

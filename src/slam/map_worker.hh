@@ -1,46 +1,43 @@
 /**
  * @file
- * The enqueue-map stage: a bounded keyframe work queue whose jobs run
- * asynchronously on the shared ThreadPool, overlapping mapping with the
+ * The enqueue-map stage: a bounded FIFO of keyframe mapping jobs that
+ * run asynchronously on a ThreadPool, overlapping mapping with the
  * tracking of subsequent frames (the loop-level restructuring CaRtGS /
  * RTG-SLAM use to reach real time).
  *
  * Threading model:
  *  - The frame loop (producer) pushes one MapJob per keyframe; when
  *    `queue_depth` jobs are already pending the overflow policy
- *    decides: Block (bounded-staleness backpressure, the default,
- *    optionally watchdog-bounded) or DropOldest (shed the stalest
- *    queued keyframe, with accounting).
- *  - At most ONE drain task exists at a time: it loops, popping up to
- *    `batch_size` queued jobs per iteration and running them as one
- *    batch, until the queue is empty, then retires. A push that finds
- *    no active drainer spawns one on the ThreadPool. Jobs run strictly
- *    FIFO (within and across batches), and no pool worker ever parks
- *    waiting for another job to finish (tracking's parallelFor keeps
- *    its workers).
- *  - Batching amortises per-drain setup (state-lock acquisition,
- *    snapshot publication, scratch-arena checkout) across keyframe
- *    bursts: when several keyframes are queued — rotation onset, a new
- *    room — they drain as one batch instead of FIFO-serially.
- *  - A batch's multi-view mapping steps (multiViewWindow >= 2) fan
- *    per-view forward passes back onto the pool from the drain task;
- *    RenderPipeline::forwardAsync runs them inline instead whenever no
- *    worker besides the drain task itself could pick them up, so the
- *    drain never parks behind work only it could execute.
- *  - drain() blocks until every enqueued job has finished; the
- *    destructor drains implicitly.
+ *    decides: Block (bounded-staleness backpressure, the default) or
+ *    DropOldest (shed the stalest queued keyframe, with accounting).
+ *  - Jobs run one at a time, in FIFO order, on whichever thread gets
+ *    to the oldest one first. A push posts one drain task to the
+ *    executor when none is posted, so jobs overlap tracking whenever
+ *    a pool worker is free.
+ *  - Any thread that has to wait for mapping — a Block push on a full
+ *    queue, or drain() — runs the oldest queued job itself whenever no
+ *    job is running, and blocks only while another thread is running
+ *    one. A waiter therefore never waits for a drain task queued
+ *    behind it on the same pool, which is what lets a fleet host
+ *    async sessions on a single worker.
+ *  - A drain task that finds another thread running a job retires
+ *    instead of parking its worker; the running waiter, or the next
+ *    push, carries on with the queue.
+ *  - A job's multi-view steps render on its own thread; nested
+ *    parallelFor calls from a pool worker run inline.
+ *  - drain() returns once every job submitted so far has finished (or
+ *    been dropped); the destructor also waits for the posted drain
+ *    task to let go of the worker.
  */
 
 #ifndef RTGS_SLAM_MAP_WORKER_HH
 #define RTGS_SLAM_MAP_WORKER_HH
 
 #include <condition_variable>
+#include <deque>
 #include <functional>
-#include <memory>
-#include <vector>
 
 #include "common/annotations.hh"
-#include "common/bounded_queue.hh"
 #include "common/mutex.hh"
 #include "slam/keyframe.hh"
 #include "slam/mapper.hh"
@@ -64,8 +61,9 @@ struct MapJob
 /**
  * What enqueue() does when the bounded queue is full.
  *
- *  - Block: wait for the drainer (bounded-staleness backpressure; the
- *    historical behaviour and the default).
+ *  - Block: wait for the map stage, running the oldest job on the
+ *    producer thread when no job is running (bounded-staleness
+ *    backpressure; the default).
  *  - DropOldest: evict the oldest queued job to make room. The evicted
  *    job never runs; it is accounted (droppedJobs()) and reported to
  *    the owner through the on-drop callback, so a flooded queue sheds
@@ -77,12 +75,12 @@ enum class OverflowPolicy
     DropOldest
 };
 
-/** Bounded asynchronous batch executor for keyframe mapping jobs. */
+/** Bounded FIFO runner for keyframe mapping jobs. */
 class MapWorker
 {
   public:
-    /** Executes one FIFO batch of jobs (called on a pool worker). */
-    using RunFn = std::function<void(std::vector<MapJob> &batch)>;
+    /** Executes one job (on a pool worker or on a waiting thread). */
+    using RunFn = std::function<void(MapJob &job)>;
     /** Observes a job evicted under the DropOldest policy (called on
      *  the producer thread, before enqueue() returns). */
     using DropFn = std::function<void(MapJob &dropped)>;
@@ -90,13 +88,8 @@ class MapWorker
     /**
      * @param queue_depth max pending jobs before the overflow policy
      *                    engages (>= 1)
-     * @param batch_size  max jobs popped per drain iteration (>= 1)
-     * @param run         executes one batch (called on a pool worker)
+     * @param run         executes one job
      * @param policy      what a full queue does to enqueue()
-     * @param watchdog_seconds with the Block policy, how long a push
-     *                    may stall before the watchdog trips and the
-     *                    push falls back to evicting the oldest job
-     *                    (degrade instead of wedge); <= 0 disables
      * @param on_drop     invoked for every evicted job
      * @param executor    pool the drain tasks run on; null selects
      *                    the process-global pool. A fleet runtime
@@ -104,58 +97,53 @@ class MapWorker
      *                    tracking and mapping for every session. Must
      *                    outlive this worker.
      */
-    MapWorker(size_t queue_depth, size_t batch_size, RunFn run,
+    MapWorker(size_t queue_depth, RunFn run,
               OverflowPolicy policy = OverflowPolicy::Block,
-              double watchdog_seconds = 0, DropFn on_drop = nullptr,
-              ThreadPool *executor = nullptr);
+              DropFn on_drop = nullptr, ThreadPool *executor = nullptr);
     ~MapWorker();
 
     MapWorker(const MapWorker &) = delete;
     MapWorker &operator=(const MapWorker &) = delete;
 
     /**
-     * Submit a job. With the Block policy this blocks while the queue
-     * is at capacity (up to the watchdog timeout when one is set);
-     * with DropOldest it never blocks.
+     * Submit a job. With the Block policy a full queue makes the
+     * caller wait, running queued jobs itself while none is running;
+     * with DropOldest it never waits.
      */
-    void enqueue(MapJob job);
+    void enqueue(MapJob job) RTGS_EXCLUDES(mutex_);
 
     /** Wait until all jobs submitted so far have completed (dropped
-     *  jobs count as completed — they will never run). */
-    void drain() RTGS_EXCLUDES(statusMutex_);
+     *  jobs count as completed — they will never run), running queued
+     *  jobs on the calling thread while none is running. */
+    void drain() RTGS_EXCLUDES(mutex_);
 
-    size_t batchSize() const { return batchSize_; }
-
-    /** Jobs evicted without running (DropOldest / watchdog fallback). */
-    size_t droppedJobs() const;
-
-    /** Times the Block-policy watchdog expired on a stalled push. */
-    size_t watchdogTrips() const;
+    /** Jobs evicted without running (DropOldest). */
+    size_t droppedJobs() const RTGS_EXCLUDES(mutex_);
 
   private:
-    void drainLoop();
+    /** Pop the oldest job and run it on this thread, releasing mutex_
+     *  for the run. Requires a queued job and none running. */
+    void runOldestLocked() RTGS_REQUIRES(mutex_);
 
-    BoundedQueue<MapJob> queue_;
-    size_t batchSize_;
-    RunFn run_;
-    OverflowPolicy policy_;
-    double watchdogSeconds_;
-    DropFn onDrop_;
+    /** Body of the posted drain task. */
+    void drainTask() RTGS_EXCLUDES(mutex_);
+
+    const size_t depth_;
+    const RunFn run_;
+    const OverflowPolicy policy_;
+    const DropFn onDrop_;
     /** Immutable after construction; internally synchronized. */
-    ThreadPool *executor_;
+    ThreadPool *const executor_;
 
-    /** Guards the completion ledger below. queue_'s internal mutex may
-     *  be taken while statusMutex_ is held (drainLoop's atomic
-     *  pop-or-retire) — never the reverse: BoundedQueue calls nothing
-     *  back. */
-    mutable Mutex statusMutex_;
-    std::condition_variable statusCv_;
-    size_t submitted_ RTGS_GUARDED_BY(statusMutex_) = 0;
-    size_t completed_ RTGS_GUARDED_BY(statusMutex_) = 0;
-    size_t droppedJobs_ RTGS_GUARDED_BY(statusMutex_) = 0;
-    size_t watchdogTrips_ RTGS_GUARDED_BY(statusMutex_) = 0;
-    /** True while a drain task is live on the pool (at most one). */
-    bool drainerActive_ RTGS_GUARDED_BY(statusMutex_) = false;
+    mutable Mutex mutex_;
+    /** Signals a finished job and a retired drain task. */
+    std::condition_variable cv_;
+    std::deque<MapJob> queue_ RTGS_GUARDED_BY(mutex_);
+    /** True while some thread is running a job (at most one). */
+    bool running_ RTGS_GUARDED_BY(mutex_) = false;
+    /** True from posting a drain task until that task retires. */
+    bool drainPosted_ RTGS_GUARDED_BY(mutex_) = false;
+    size_t droppedJobs_ RTGS_GUARDED_BY(mutex_) = 0;
 };
 
 } // namespace rtgs::slam

@@ -77,25 +77,21 @@ Mapper::densify(const gs::RenderPipeline &pipeline,
 void
 Mapper::mapBatch(const gs::RenderPipeline &pipeline,
                  gs::GaussianCloud &cloud, const Intrinsics &intr,
-                 std::vector<MapBatchItem> &items,
-                 const MapIterationHook &hook)
+                 MapBatchItem &item, const MapIterationHook &hook)
 {
-    // One gradient arena for the whole batch: each keyframe's mapping
-    // iterations write into it in place, so a burst of queued keyframes
-    // pays the cloud-sized allocation once instead of once per job.
+    u32 max_iters = config_.iterations;
+    if (item.iterationBudget > 0)
+        max_iters = std::min(max_iters, item.iterationBudget);
+    item.densified = densify(pipeline, cloud, intr, item.record);
+    addKeyframe(std::move(item.record));
+    lastStepViews_ = 0;
+    // One gradient arena per call: every mapping iteration writes into
+    // it in place instead of allocating a cloud-sized result each time.
     gs::BackwardResult back;
-    for (MapBatchItem &item : items) {
-        u32 max_iters = config_.iterations;
-        if (item.iterationBudget > 0)
-            max_iters = std::min(max_iters, item.iterationBudget);
-        item.densified = densify(pipeline, cloud, intr, item.record);
-        addKeyframe(std::move(item.record));
-        lastStepViews_ = 0;
-        item.mapLoss =
-            mapIterations(pipeline, cloud, intr, hook, max_iters, back);
-        item.multiViews = lastStepViews_;
-        pruneTransparent(cloud);
-    }
+    item.mapLoss =
+        mapIterations(pipeline, cloud, intr, hook, max_iters, back);
+    item.multiViews = lastStepViews_;
+    pruneTransparent(cloud);
 }
 
 std::vector<size_t>
@@ -152,19 +148,10 @@ Mapper::mapIterations(const gs::RenderPipeline &pipeline,
         bool step_on_newest = views.back() + 1 == window_.size();
         gs::ForwardContext newest_ctx;
 
-        gs::ForwardContext ctx = pipeline.forward(
-            cloud, Camera(intr, window_[views[0]].pose));
-        gs::AsyncForward next;
         for (size_t v = 0; v < views.size(); ++v) {
-            // Multi-target overlap: start the next view's forward on
-            // the pool before this view's loss + backward run on the
-            // caller. Forward outputs are bitwise pool-independent, so
-            // the overlap never changes numerics.
-            if (v + 1 < views.size()) {
-                next = pipeline.forwardAsync(
-                    cloud, Camera(intr, window_[views[v + 1]].pose));
-            }
             const KeyframeRecord &kf = window_[views[v]];
+            gs::ForwardContext ctx =
+                pipeline.forward(cloud, Camera(intr, kf.pose));
             LossResult loss = computeLoss(ctx.result, kf.rgb, &kf.depth,
                                           config_.loss);
             const ImageF *dl_ddepth =
@@ -185,8 +172,6 @@ Mapper::mapIterations(const gs::RenderPipeline &pipeline,
             if (v + 1 == views.size()) {
                 step_loss = loss.loss;
                 newest_ctx = std::move(ctx);
-            } else {
-                ctx = next.take();
             }
         }
 

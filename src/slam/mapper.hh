@@ -41,11 +41,10 @@ struct MapperConfig
      * newest/rest alternation — one view per step, byte-identical to
      * the pre-multi-view recipe. B >= 2 renders min(B, windowSize)
      * views per step (the newest keyframe plus a rotating selection of
-     * the rest), sums their gradients deterministically, and applies
-     * one averaged update; one view's forward overlaps another's
-     * backward through the thread pool. Changes numerics for B >= 2 —
-     * see the bench_fig15 multi-view ablation. SlamSystem overrides
-     * this field from SlamConfig::multiViewWindow.
+     * the rest), sums their gradients deterministically (bitwise
+     * independent of the render worker count), and applies one
+     * averaged update. Changes numerics for B >= 2 — see the
+     * bench_fig15 multi-view ablation.
      */
     u32 multiViewWindow = 0;
     MapLearningRates learningRates;
@@ -76,8 +75,8 @@ struct MapIterationContext
 using MapIterationHook = std::function<void(const MapIterationContext &)>;
 
 /**
- * One keyframe's slot in a mapping batch: the record + budget going in,
- * the per-keyframe outcome coming back out.
+ * One keyframe's mapping call: the record + budget going in, the
+ * per-keyframe outcome coming back out.
  */
 struct MapBatchItem
 {
@@ -116,22 +115,20 @@ class Mapper
                    const KeyframeRecord &record);
 
     /**
-     * Run a FIFO batch of keyframes through the full mapping recipe
-     * (densify → admit → optimise → prune transparent, per keyframe),
-     * sharing one backward gradient arena across every iteration of the
-     * batch instead of re-allocating it per keyframe. This is the ONE
-     * authoritative copy of the recipe: the sync path runs a one-item
-     * batch, so sync/async byte-identity holds by construction; larger
-     * batches amortise the per-drain setup the asynchronous map worker
-     * would otherwise pay per job. Per-item iteration budgets cap the
-     * configured count (0 keeps it; never raises it). With
-     * multiViewWindow >= 2 the optimise stage runs multi-view steps
-     * (several window keyframes per averaged update — see
-     * src/slam/README.md); <= 1 keeps the sequential alternation.
+     * Run one keyframe through the full mapping recipe (densify →
+     * admit → optimise → prune transparent), reusing one backward
+     * gradient arena across the call's iterations. This is the ONE
+     * copy of the recipe; SlamSystem::runMapJob calls it in sync and
+     * async mode alike, so sync/async byte-identity holds by
+     * construction. The item's iteration budget caps the configured
+     * count (0 keeps it; never raises it). With multiViewWindow >= 2
+     * the optimise stage runs multi-view steps (several window
+     * keyframes per averaged update — see src/slam/README.md); <= 1
+     * keeps the sequential alternation.
      */
     void mapBatch(const gs::RenderPipeline &pipeline,
                   gs::GaussianCloud &cloud, const Intrinsics &intr,
-                  std::vector<MapBatchItem> &items,
+                  MapBatchItem &item,
                   const MapIterationHook &hook = nullptr);
 
     /**
@@ -163,7 +160,7 @@ class Mapper
 
   private:
     /** The mapping iteration loop, writing into a caller-owned
-     *  gradient arena (shared across a batch's keyframes). */
+     *  gradient arena. */
     double mapIterations(const gs::RenderPipeline &pipeline,
                          gs::GaussianCloud &cloud, const Intrinsics &intr,
                          const MapIterationHook &hook, u32 max_iters,
@@ -173,7 +170,7 @@ class Mapper
     std::deque<KeyframeRecord> window_;
     MapOptimizer optimizer_;
     /** Per-view scratch for multi-view steps (views beyond the first
-     *  write here before folding into the shared batch arena). */
+     *  write here before folding into the step's arena). */
     gs::BackwardResult viewScratch_;
     /** Views rendered by the most recent optimiser step. */
     u32 lastStepViews_ = 0;

@@ -95,7 +95,7 @@ MapOptimizer::step(gs::GaussianCloud &cloud, const gs::CloudGrads &grads)
     // One re-materialisation per mutated COW column up front (a no-op
     // while the cloud is unshared), not one aliasing check per lane.
     // Colour/opacity go through load/store because those columns may be
-    // packed (fp16/bf16); Adam moments and the update arithmetic stay
+    // packed (fp16); Adam moments and the update arithmetic stay
     // fp32 — only the stored parameter is narrowed.
     const auto &active = cloud.active.view();
     auto &positions = cloud.positions.mut();

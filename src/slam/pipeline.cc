@@ -100,11 +100,6 @@ SlamSystem::SlamSystem(const SlamConfig &config,
     : config_(config), intrinsics_(intrinsics),
       tracker_(config.tracker), mapper_(config.mapper)
 {
-    // SlamConfig::multiViewWindow is the authoritative multi-view
-    // knob at this layer; it overrides whatever the embedded mapper
-    // config carried.
-    config_.mapper.multiViewWindow = config.multiViewWindow;
-
     gs::RenderSettings settings;
     settings.background = {0.03f, 0.03f, 0.05f};
     settings.pipeline = config.pipeline;
@@ -114,8 +109,6 @@ SlamSystem::SlamSystem(const SlamConfig &config,
         // No worker can exist yet; the lock just keeps the guarded
         // accesses uniform for the static analysis.
         MutexLock lock(stateMutex_);
-        mapper_.config().multiViewWindow = config.multiViewWindow;
-
         // The preset's storage side: narrow the low-sensitivity columns
         // of the authoritative cloud. Every COW snapshot / tracking
         // clone copies the column (and its precision) wholesale, so
@@ -150,10 +143,9 @@ SlamSystem::SlamSystem(const SlamConfig &config,
             reports_[job.reportIndex].mapJobDropped = true;
         };
         mapWorker_ = std::make_unique<MapWorker>(
-            config.mapQueueDepth, std::max<u32>(1, config.mapBatchSize),
-            [this](std::vector<MapJob> &jobs) { runMapBatch(jobs); },
-            config.mapOverflowPolicy, config.mapWatchdogSeconds,
-            std::move(on_drop), config.mapExecutor);
+            config.mapQueueDepth, [this](MapJob &job) { runMapJob(job); },
+            config.mapOverflowPolicy, std::move(on_drop),
+            config.mapExecutor);
     }
 
     if (config.health.enabled)
@@ -174,7 +166,7 @@ SlamSystem::waitForMapping()
     if (!mapWorker_)
         return;
     mapWorker_->drain();
-    // Prunes requested after the last map batch have no job left to
+    // Prunes requested after the last map job have no job left to
     // carry them; fold them in now so cloud() honours every tracking
     // decision once this returns.
     if (pendingPruneCount() > 0) {
@@ -251,7 +243,7 @@ SlamSystem::applyPendingPrunesLocked()
             if (p.appliedInGeneration != 0)
                 continue;
             dropped.insert(dropped.end(), p.ids.begin(), p.ids.end());
-            // The generation this batch/flush publishes next; clone
+            // The generation this job/flush publishes next; clone
             // refreshes garbage-collect the entry once a snapshot of at
             // least that generation is visible.
             p.appliedInGeneration = mapGeneration_ + 1;
@@ -570,52 +562,13 @@ SlamSystem::stageKeyframeDecision(const data::Frame &frame,
     return decideKeyframe(query);
 }
 
-double
-SlamSystem::mapKeyframe(KeyframeRecord record, u32 iteration_budget,
-                        FrameReport &report)
-{
-    // One-item batch: Mapper::mapBatch is the single authoritative
-    // copy of the mapping recipe (densify -> admit -> optimise ->
-    // prune transparent) for both the sync and async paths.
-    std::vector<MapBatchItem> items(1);
-    items[0].record = std::move(record);
-    items[0].iterationBudget = iteration_budget;
-    mapper_.mapBatch(pipeline_, cloud_, intrinsics_, items, mapHook_);
-    report.densified = items[0].densified;
-    report.mapMultiViews = items[0].multiViews;
-    return items[0].mapLoss;
-}
-
-void
-SlamSystem::stageMapSync(const data::Frame &frame, const SE3 &pose,
-                         const FrameBudget *budget, FrameReport &report)
-{
-    Stopwatch watch;
-    StageProfiler::Scope scope(profiler_, "mapping");
-    {
-        // No worker exists in sync mode, so the lock is uncontended;
-        // it discharges mapKeyframe()'s REQUIRES(stateMutex_). Map
-        // hooks that fire inside only use the lock-free cloud()
-        // accessor, matching the async path's locking.
-        MutexLock lock(stateMutex_);
-        report.mapLoss =
-            mapKeyframe(KeyframeRecord{frame.index, pose, frame.rgb,
-                                       frame.depth},
-                        budget ? budget->mapIterations : 0, report);
-    }
-    lastKeyframeIndex_ = frame.index;
-    lastKeyframeImage_ = frame.rgb;
-    lastKeyframePose_ = pose;
-    report.mapSeconds = watch.seconds();
-}
-
 void
 SlamSystem::stageEnqueueMap(const data::Frame &frame, const SE3 &pose,
                             const FrameBudget *budget,
                             size_t report_index)
 {
     // Caller-side keyframe state is recorded at enqueue time, so the
-    // keyframe policy sees exactly what the sync path would show it.
+    // keyframe policy sees the same history in both modes.
     lastKeyframeIndex_ = frame.index;
     lastKeyframeImage_ = frame.rgb;
     lastKeyframePose_ = pose;
@@ -624,62 +577,59 @@ SlamSystem::stageEnqueueMap(const data::Frame &frame, const SE3 &pose,
     job.record = KeyframeRecord{frame.index, pose, frame.rgb, frame.depth};
     job.mapIterationBudget = budget ? budget->mapIterations : 0;
     job.reportIndex = report_index;
-    mapWorker_->enqueue(std::move(job));
+    if (mapWorker_)
+        mapWorker_->enqueue(std::move(job));
+    else
+        runMapJob(job);
 }
 
 void
-SlamSystem::runMapBatch(std::vector<MapJob> &jobs)
+SlamSystem::runMapJob(MapJob &job)
 {
     Stopwatch watch;
     StageProfiler::Scope scope(profiler_, "mapping");
 
-    std::vector<MapBatchItem> items(jobs.size());
-    u32 last_frame = jobs.back().record.frameIndex;
+    const u32 frame_index = job.record.frameIndex;
+    MapBatchItem item;
+    item.record = std::move(job.record);
+    item.iterationBudget = job.mapIterationBudget;
     size_t count, bytes;
-    double publish_seconds;
-    u64 generation;
+    double publish_seconds = 0;
+    u64 generation = 0;
     {
         MutexLock lock(stateMutex_);
-        // Fold tracking-side prune decisions in first so this batch
+        // Fold tracking-side prune decisions in first so this job
         // optimises the cloud the tracker actually kept.
         applyPendingPrunesLocked();
-
-        for (size_t j = 0; j < jobs.size(); ++j) {
-            items[j].record = std::move(jobs[j].record);
-            items[j].iterationBudget = jobs[j].mapIterationBudget;
-        }
-        mapper_.mapBatch(pipeline_, cloud_, intrinsics_, items, mapHook_);
+        mapper_.mapBatch(pipeline_, cloud_, intrinsics_, item, mapHook_);
 
         count = cloud_.size();
         bytes = cloud_.parameterBytes();
         peakBytes_ = std::max(peakBytes_, bytes);
 
-        // Publish ONE immutable snapshot generation for the whole
-        // batch — a refcount bump per column, not a cloud copy.
-        // Subsequent frames track against the newest *completed* map
-        // without ever waiting on an in-flight batch.
-        publish_seconds = publishSnapshotLocked(last_frame);
-        generation = mapGeneration_;
+        // Async mode publishes an immutable snapshot generation — a
+        // refcount bump per column, not a cloud copy — so later frames
+        // track against the newest *completed* map without waiting on
+        // an in-flight job. (config_, not mapWorker_: the worker may be
+        // mid-destruction while it drains its last jobs.)
+        if (config_.mapQueueDepth > 0) {
+            publish_seconds = publishSnapshotLocked(frame_index);
+            generation = mapGeneration_;
+        }
     }
     double seconds = watch.seconds();
 
     MutexLock lock(reportMutex_);
-    for (size_t j = 0; j < jobs.size(); ++j) {
-        rtgs_assert(jobs[j].reportIndex < reports_.size());
-        FrameReport &row = reports_[jobs[j].reportIndex];
-        row.densified = items[j].densified;
-        row.mapLoss = items[j].mapLoss;
-        row.mapMultiViews = items[j].multiViews;
-        // Batch wall time amortised over its jobs (rows sum to the
-        // true batch cost).
-        row.mapSeconds = seconds / static_cast<double>(jobs.size());
-        row.gaussianCount = count;
-        row.gaussianBytes = bytes;
-        row.mapBatchJobs = static_cast<u32>(jobs.size());
-        row.publishedGeneration = generation;
-        row.snapshotPublishSeconds =
-            j + 1 == jobs.size() ? publish_seconds : 0;
-    }
+    rtgs_assert(job.reportIndex < reports_.size());
+    FrameReport &row = reports_[job.reportIndex];
+    row.densified = item.densified;
+    row.mapLoss = item.mapLoss;
+    row.mapMultiViews = item.multiViews;
+    row.mapSeconds = seconds;
+    row.gaussianCount = count;
+    row.gaussianBytes = bytes;
+    row.publishedGeneration = generation;
+    row.snapshotPublishSeconds = publish_seconds;
 }
 
 std::shared_ptr<const TrackingSnapshot>
@@ -690,8 +640,9 @@ SlamSystem::snapshotCloud()
         if (trackingSnapshot_ && !trackingSnapshot_->cloud.empty())
             return trackingSnapshot_;
     }
-    // Bootstrap: the first keyframe's mapping may still be in flight;
-    // never track against an empty map when one is on the way.
+    // Bootstrap: the first keyframe's mapping may still be queued or in
+    // flight; never track against an empty map when one is on the way.
+    // waitForMapping() runs a queued job on this thread if needed.
     waitForMapping();
     MutexLock lock(snapshotMutex_);
     if (!trackingSnapshot_)
@@ -733,7 +684,7 @@ SlamSystem::refreshTrackingClone(const data::Frame &frame,
     trackCloud_ = snap->cloud; // COW: one refcount bump per column
     trackCloneGeneration_ = snap->generation;
 
-    // Filter out entries the tracker already pruned but no map batch
+    // Filter out entries the tracker already pruned but no map job
     // has absorbed yet, and garbage-collect requests that a published
     // generation has since made permanent.
     std::vector<u64> dropped;
@@ -795,7 +746,7 @@ SlamSystem::fillMapFootprint(FrameReport &report)
         peakBytes_ = std::max(peakBytes_, report.gaussianBytes);
     } else {
         // Async: never touch stateMutex_ from the frame loop (an
-        // in-flight batch holds it for its whole duration). Report the
+        // in-flight job holds it for its whole duration). Report the
         // latest *published* map's footprint; keyframe rows get their
         // exact post-map numbers from the worker, and the worker also
         // maintains the peak.
@@ -837,7 +788,7 @@ double
 SlamSystem::probePsnr(const data::Frame &frame, const SE3 &pose)
 {
     // Pick a readable map without touching stateMutex_ (an in-flight
-    // async batch may hold it for seconds): the frame loop's tracking
+    // async job may hold it for seconds): the frame loop's tracking
     // clone when it exists, else the newest published snapshot (the
     // geometric backend never clones), else the authoritative cloud in
     // sync mode, where the frame loop is the only mutator.
@@ -879,7 +830,7 @@ SlamSystem::stageRelocalize(const data::Frame &frame,
     StageProfiler::Scope scope(profiler_, "relocalize");
     // Score against what tracking would render against: the COW clone
     // of the newest published snapshot in async mode (refreshing it
-    // here never blocks an in-flight map batch), the authoritative
+    // here never blocks an in-flight map job), the authoritative
     // cloud in sync mode where the frame loop is the only mutator.
     if (mapWorker_)
         refreshTrackingClone(frame, report);
@@ -1087,10 +1038,7 @@ SlamSystem::processFrame(const data::Frame &frame, Real tracking_scale,
     if (reloc_ && report.isKeyframe)
         reloc_->noteKeyframe(frame.index, pose, frame.rgb);
 
-    bool async_map = report.isKeyframe && mapWorker_ != nullptr;
-    if (report.isKeyframe && !async_map)
-        stageMapSync(frame, pose, budget, report);
-    report.mappedAsync = async_map;
+    report.mappedAsync = report.isKeyframe && mapWorker_ != nullptr;
 
     if (!report.poseHeld) {
         prevDepth_ = frame.depth;
@@ -1105,14 +1053,14 @@ SlamSystem::processFrame(const data::Frame &frame, Real tracking_scale,
         report_index = reports_.size();
         reports_.push_back(report);
     }
+    if (!report.isKeyframe)
+        return report;
 
-    if (async_map) {
-        stageEnqueueMap(frame, pose, budget, report_index);
-        // The job may already have completed; return the freshest view.
-        MutexLock lock(reportMutex_);
-        return reports_[report_index];
-    }
-    return report;
+    // The map job fills this keyframe's row: inline in sync mode, maybe
+    // already in async mode. Return the freshest view.
+    stageEnqueueMap(frame, pose, budget, report_index);
+    MutexLock lock(reportMutex_);
+    return reports_[report_index];
 }
 
 ImageRGB

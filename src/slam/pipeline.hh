@@ -73,49 +73,12 @@ struct SlamConfig
     u32 mapQueueDepth = 0;
 
     /**
-     * Max queued keyframes one asynchronous drain iteration absorbs
-     * and runs as a single batch (>= 1). A batch shares the backward
-     * gradient arena and per-drain setup across its keyframes and
-     * publishes one tracking snapshot instead of one per job, so
-     * keyframe bursts drain together instead of FIFO-serially.
-     * mapBatchSize == 1 reproduces the per-job async path exactly;
-     * ignored in sync mode.
-     */
-    u32 mapBatchSize = 1;
-
-    /**
-     * Multi-view mapping window B (the ROADMAP's cross-keyframe render
-     * batching): how many window keyframes each map optimiser step
-     * renders. 0 (the default) keeps the sequential one-view-per-step
-     * alternation, byte-identical to the pre-multi-view recipe, as is
-     * 1 (which selects the same single keyframe per step). B >= 2
-     * renders min(B, mapper.windowSize) views per step — the newest
-     * keyframe plus a rotating pick of the rest — accumulates their
-     * gradients into one shared arena with a deterministic fixed-chunk
-     * reduction (bitwise independent of the render worker count), and
-     * applies a single averaged update, overlapping one view's forward
-     * with another's backward through the pool. B >= 2 changes the
-     * numerics; the bench_fig15 multi-view ablation records the
-     * wall-clock/PSNR trade. Authoritative: copied over
-     * mapper.multiViewWindow at construction.
-     */
-    u32 multiViewWindow = 0;
-
-    /**
      * What a full async map queue does to the enqueue-map stage:
      * Block (bounded-staleness backpressure, the default) or DropOldest
      * (shed the stalest queued keyframe; the drop is accounted in that
      * keyframe's FrameReport row). Ignored in sync mode.
      */
     OverflowPolicy mapOverflowPolicy = OverflowPolicy::Block;
-
-    /**
-     * With the Block policy, how long (seconds) an enqueue-map push may
-     * stall on a full queue before the watchdog trips and that push
-     * degrades to evicting the oldest job instead of wedging the frame
-     * loop. <= 0 (the default) blocks indefinitely.
-     */
-    double mapWatchdogSeconds = 0;
 
     /**
      * Pool the async map drain runs on. Null (the default) selects the
@@ -201,20 +164,18 @@ struct FrameReport
 
     // Copy-on-write snapshot observability (async mode only).
     u64 snapshotGeneration = 0;  //!< map generation tracking rendered
-    /** Generation this keyframe's map batch published on completion
+    /** Generation this keyframe's map job published on completion
      *  (worker-filled; 0 on non-keyframe rows). */
     u64 publishedGeneration = 0;
     /** Queue staleness: frames between this frame and the newest
      *  keyframe folded into the snapshot tracking rendered against. */
     u32 snapshotStaleFrames = 0;
-    /** Wall time of the snapshot publication this keyframe's batch
-     *  performed (only set on the batch's last keyframe row). */
+    /** Wall time of the snapshot publication this keyframe's map job
+     *  performed. */
     double snapshotPublishSeconds = 0;
-    /** Jobs in the drain batch that mapped this keyframe (async). */
-    u32 mapBatchJobs = 0;
     /** Views rendered by this keyframe's final map optimiser step
-     *  (1 on the sequential path, up to multiViewWindow once the
-     *  keyframe window has filled; 0 on non-keyframe rows). */
+     *  (1 on the sequential path, up to mapper.multiViewWindow once
+     *  the keyframe window has filled; 0 on non-keyframe rows). */
     u32 mapMultiViews = 0;
 
     // Tracking-health / robustness observability (all neutral unless
@@ -267,7 +228,8 @@ struct SnapshotStats
 {
     /** Total publication wall time recorded in keyframe rows. The
      *  rare trailing publication waitForMapping performs to flush a
-     *  post-batch prune has no report row and is not attributed. */
+     *  prune requested after the last map job has no report row and
+     *  is not attributed. */
     double publishSeconds = 0;
     u64 publishes = 0;         //!< highest published generation seen
     u64 staleSum = 0;
@@ -313,15 +275,16 @@ struct TrackingSnapshot
  *
  *   preprocess -> track -> keyframe decision -> enqueue-map -> map
  *
- * With config.mapQueueDepth == 0 every stage runs inline on the caller
- * thread, byte-identical to the original monolithic loop. With a
- * positive depth the map stage runs asynchronously on the shared
- * ThreadPool behind a bounded keyframe queue; each drain iteration pops
- * up to config.mapBatchSize queued keyframes and maps them as one
- * batch. Tracking renders against a copy-on-write clone of the newest
- * published snapshot taken under the snapshot lock. In async mode,
- * call waitForMapping() before reading cloud()/reports() (the
- * map-iteration hook also fires on a pool worker then).
+ * The map stage is one function, runMapJob(), in both modes. With
+ * config.mapQueueDepth == 0 it runs inline on the caller thread,
+ * byte-identical to the original monolithic loop. With a positive depth
+ * it runs asynchronously behind a bounded keyframe queue (MapWorker),
+ * one job at a time in FIFO order, on a pool worker or on whichever
+ * thread has to wait for mapping. Tracking renders against a
+ * copy-on-write clone of the newest published snapshot taken under the
+ * snapshot lock. In async mode, call waitForMapping() before reading
+ * cloud()/reports() (the map-iteration hook may fire on a pool worker
+ * then).
  *
  * Feed frames in order via processFrame(); read the trajectory, map,
  * and reports afterwards.
@@ -389,13 +352,6 @@ class SlamSystem
         return mapWorker_ ? mapWorker_->droppedJobs() : 0;
     }
 
-    /** Times the map-queue watchdog tripped (0 in sync mode). */
-    size_t
-    mapWatchdogTrips() const
-    {
-        return mapWorker_ ? mapWorker_->watchdogTrips() : 0;
-    }
-
     /**
      * The cloud tracking renders against: the authoritative map in sync
      * mode, the per-frame copy-on-write clone of the newest published
@@ -412,7 +368,7 @@ class SlamSystem
      * entries where keep[i] == 0 of the CURRENT tracking clone (call
      * before compacting the clone — the mask is translated through the
      * clone's stable ids). The drop is applied to the authoritative
-     * cloud by the next map batch (or by waitForMapping()) under the
+     * cloud by the next map job (or by waitForMapping()) under the
      * state lock, with the mapper's optimiser state remapped in the
      * same motion; later tracking clones filter the dropped ids out
      * immediately, so tracking never resurrects what it pruned.
@@ -539,28 +495,22 @@ class SlamSystem
     bool stageKeyframeDecision(const data::Frame &frame, const SE3 &pose,
                                const bool *force_keyframe);
 
-    /** Synchronous map stage (mapQueueDepth == 0). */
-    void stageMapSync(const data::Frame &frame, const SE3 &pose,
-                      const FrameBudget *budget, FrameReport &report);
-
-    /** Enqueue-map stage: defer the map work to the bounded queue. */
+    /** Enqueue-map stage: record the keyframe and hand its map job to
+     *  the queue (async) or run it inline (sync). */
     void stageEnqueueMap(const data::Frame &frame, const SE3 &pose,
                          const FrameBudget *budget, size_t report_index);
 
-    /** Map stage body executed on a pool worker (async mode): one FIFO
-     *  batch of up to mapBatchSize keyframes. */
-    void runMapBatch(std::vector<MapJob> &jobs);
-
     /**
-     * The mapping recipe shared by the sync and async paths: densify,
-     * admit the keyframe to the window, optimise, prune transparent.
-     * Fills the report's densified/mapMultiViews fields.
+     * The map stage, in both modes: fold pending tracking prunes into
+     * the authoritative cloud, map the keyframe (densify -> admit ->
+     * optimise -> prune transparent), record the footprint and peak,
+     * publish a tracking snapshot (async mode only), and fill the
+     * keyframe's report row.
      */
-    double mapKeyframe(KeyframeRecord record, u32 iteration_budget,
-                       FrameReport &report) RTGS_REQUIRES(stateMutex_);
+    void runMapJob(MapJob &job) RTGS_EXCLUDES(stateMutex_, reportMutex_);
 
     /**
-     * Latest published map snapshot (async mode). Map batches publish a
+     * Latest published map snapshot (async mode). Map jobs publish a
      * fresh immutable generation when they complete, so tracking never
      * waits on an in-flight job (it reads the newest finished map).
      */
@@ -670,13 +620,13 @@ class SlamSystem
     mutable Mutex reportMutex_;
     std::vector<FrameReport> reports_ RTGS_GUARDED_BY(reportMutex_);
 
-    /** Guards trackingSnapshot_ (published by map batches, read by
+    /** Guards trackingSnapshot_ (published by map jobs, read by
      *  track). */
     mutable Mutex snapshotMutex_;
     std::shared_ptr<const TrackingSnapshot> trackingSnapshot_
         RTGS_GUARDED_BY(snapshotMutex_);
 
-    /** Guards pendingPrunes_ (tracker appends, map batches consume). */
+    /** Guards pendingPrunes_ (tracker appends, map jobs consume). */
     mutable Mutex pruneMutex_;
     std::vector<PendingPrune> pendingPrunes_ RTGS_GUARDED_BY(pruneMutex_);
 

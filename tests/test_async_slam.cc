@@ -13,6 +13,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -123,61 +125,12 @@ TEST(AsyncSlam, SyncModeIdenticalToDrainedAsyncOnAllProfiles)
     }
 }
 
-TEST(AsyncSlam, BatchedAsyncIdenticalToPerJobAsyncOnAllProfiles)
+TEST(AsyncSlam, AsyncBitwiseIndependentOfRenderWorkers)
 {
-    // The batched drain runs the exact per-job recipe (densify ->
-    // admit -> optimise -> prune-transparent, FIFO), only amortising
-    // the drain setup and publishing once per batch — so with
-    // identical snapshot visibility (drained after every frame) a
-    // mapBatchSize=4 run must match a mapBatchSize=1 run bit for bit
-    // on every base-algorithm profile.
-    auto &ds = tinyDataset();
-    const BaseAlgorithm algos[] = {BaseAlgorithm::GsSlam,
-                                   BaseAlgorithm::MonoGs,
-                                   BaseAlgorithm::PhotoSlam,
-                                   BaseAlgorithm::SplaTam};
-    for (auto algo : algos) {
-        SlamConfig per_job_cfg = fastConfig(algo);
-        per_job_cfg.mapQueueDepth = 2;
-        per_job_cfg.mapBatchSize = 1;
-        SlamSystem per_job(per_job_cfg, ds.intrinsics());
-
-        SlamConfig batched_cfg = fastConfig(algo);
-        batched_cfg.mapQueueDepth = 4;
-        batched_cfg.mapBatchSize = 4;
-        SlamSystem batched(batched_cfg, ds.intrinsics());
-
-        // Photo-SLAM's geometric tracking never reads the map, so its
-        // outputs are independent of snapshot timing: run it fully
-        // overlapped to exercise REAL multi-job batches while keeping
-        // byte-identity. Rendering-tracking profiles drain per frame
-        // (identical snapshot visibility in both runs).
-        bool overlap = algo == BaseAlgorithm::PhotoSlam;
-        for (u32 f = 0; f < ds.frameCount(); ++f) {
-            per_job.processFrame(ds.frame(f));
-            if (!overlap)
-                per_job.waitForMapping();
-            batched.processFrame(ds.frame(f));
-            if (!overlap)
-                batched.waitForMapping();
-        }
-        per_job.waitForMapping();
-        batched.waitForMapping();
-
-        EXPECT_TRUE(trajectoriesIdentical(per_job.trajectory(),
-                                          batched.trajectory()))
-            << algorithmName(algo) << ": trajectories diverged";
-        EXPECT_TRUE(cloudsIdentical(per_job.cloud(), batched.cloud()))
-            << algorithmName(algo) << ": maps diverged";
-    }
-}
-
-TEST(AsyncSlam, BatchedAsyncBitwiseIndependentOfRenderWorkers)
-{
-    // PR-3 makes every rendering output bitwise independent of the
-    // pool size; the batched drain + COW snapshot publication must
-    // preserve that end to end. Same drained schedule at 1/2/4 render
-    // workers -> identical trajectories and maps.
+    // Every rendering output is bitwise independent of the pool size;
+    // the async map stage + COW snapshot publication must preserve
+    // that end to end. Same drained schedule at 1/2/4 render workers
+    // -> identical trajectories and maps.
     auto &ds = tinyDataset();
     std::vector<std::vector<SE3>> trajectories;
     std::vector<gs::GaussianCloud> clouds;
@@ -185,7 +138,6 @@ TEST(AsyncSlam, BatchedAsyncBitwiseIndependentOfRenderWorkers)
         ThreadPool pool(workers);
         SlamConfig cfg = fastConfig(BaseAlgorithm::SplaTam);
         cfg.mapQueueDepth = 4;
-        cfg.mapBatchSize = 2;
         SlamSystem system(cfg, ds.intrinsics());
         system.setRenderPool(&pool);
         for (u32 f = 0; f < ds.frameCount(); ++f) {
@@ -202,16 +154,15 @@ TEST(AsyncSlam, BatchedAsyncBitwiseIndependentOfRenderWorkers)
     }
 }
 
-TEST(AsyncSlam, OverlappedBatchedAsyncCompletesWithUsableResults)
+TEST(AsyncSlam, OverlappedEveryFrameMappingPublishesOncePerJob)
 {
-    // Fully overlapped batched mode: keyframe bursts (SplaTAM maps
-    // every frame) drain as real multi-job batches behind tracking.
-    // This is the TSan target for the batched-drain + COW-publish
-    // path.
+    // Fully overlapped, every frame a keyframe (SplaTAM): jobs queue
+    // up behind tracking and run one at a time, each publishing its
+    // own snapshot generation. This is the TSan target for the
+    // job-runner + COW-publish path.
     auto &ds = tinyDataset();
     SlamConfig cfg = fastConfig(BaseAlgorithm::SplaTam);
     cfg.mapQueueDepth = 4;
-    cfg.mapBatchSize = 4;
     SlamSystem system(cfg, ds.intrinsics());
     for (u32 f = 0; f < ds.frameCount(); ++f)
         system.processFrame(ds.frame(f));
@@ -219,54 +170,44 @@ TEST(AsyncSlam, OverlappedBatchedAsyncCompletesWithUsableResults)
 
     ASSERT_EQ(system.trajectory().size(), ds.frameCount());
     EXPECT_GT(system.cloud().size(), 100u);
-    u64 max_generation = 0;
+    std::vector<u64> generations;
     for (const auto &r : system.reports()) {
-        if (!r.isKeyframe)
-            continue;
-        EXPECT_GE(r.mapBatchJobs, 1u) << "frame " << r.frameIndex;
-        EXPECT_LE(r.mapBatchJobs, cfg.mapBatchSize);
-        EXPECT_GT(r.publishedGeneration, 0u);
-        max_generation =
-            std::max(max_generation, r.publishedGeneration);
+        if (r.isKeyframe)
+            generations.push_back(r.publishedGeneration);
     }
-    // One publication per batch: the generation counter can never
-    // exceed the keyframe count (and is lower whenever a burst
-    // coalesced; coalescing itself is pinned deterministically by
-    // MapWorkerTest.BatchedDrainPreservesFifoAndBatchCap).
-    EXPECT_LE(max_generation, static_cast<u64>(ds.frameCount()));
+    // Jobs run in FIFO order and each publishes once, so keyframe k
+    // publishes generation k + 1.
+    std::vector<u64> expected(generations.size());
+    for (size_t k = 0; k < expected.size(); ++k)
+        expected[k] = k + 1;
+    EXPECT_EQ(generations, expected);
 }
 
-TEST(MapWorkerTest, BatchedDrainPreservesFifoAndBatchCap)
+TEST(MapWorkerTest, DrainRunsQueuedJobsInFifoOrder)
 {
     std::mutex m;
     std::condition_variable cv;
     bool release = false;
-    std::vector<std::vector<u32>> batches;
+    std::vector<u32> ran;
 
-    MapWorker worker(/*queue_depth=*/4, /*batch_size=*/3,
-                     [&](std::vector<MapJob> &batch) {
-                         std::vector<u32> frames;
-                         for (const MapJob &j : batch)
-                             frames.push_back(j.record.frameIndex);
-                         std::unique_lock<std::mutex> lock(m);
-                         batches.push_back(std::move(frames));
-                         cv.notify_all();
-                         cv.wait(lock, [&] { return release; });
-                     });
+    MapWorker worker(/*queue_depth=*/4, [&](MapJob &job) {
+        std::unique_lock<std::mutex> lock(m);
+        ran.push_back(job.record.frameIndex);
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+    });
 
     auto make_job = [](u32 frame) {
         MapJob job;
         job.record.frameIndex = frame;
         return job;
     };
-    // Deterministic schedule: wait until the drainer has popped job 0
-    // alone and parked in the gated runner, THEN queue the burst; the
-    // burst must come back as one batch-capped FIFO batch plus the
-    // remainder.
+    // Deterministic schedule: wait until the drain task is running job
+    // 0, THEN queue the burst behind it.
     worker.enqueue(make_job(0));
     {
         std::unique_lock<std::mutex> lock(m);
-        cv.wait(lock, [&] { return batches.size() == 1; });
+        cv.wait(lock, [&] { return ran.size() == 1; });
     }
     for (u32 f = 1; f <= 4; ++f)
         worker.enqueue(make_job(f));
@@ -277,11 +218,7 @@ TEST(MapWorkerTest, BatchedDrainPreservesFifoAndBatchCap)
     cv.notify_all();
     worker.drain();
 
-    ASSERT_EQ(batches.size(), 3u);
-    EXPECT_EQ(batches[0], (std::vector<u32>{0}));
-    EXPECT_EQ(batches[1], (std::vector<u32>{1, 2, 3}))
-        << "queued burst must drain as one FIFO batch up to the cap";
-    EXPECT_EQ(batches[2], (std::vector<u32>{4}));
+    EXPECT_EQ(ran, (std::vector<u32>{0, 1, 2, 3, 4}));
 }
 
 TEST(MapWorkerTest, EnqueueBlocksAtQueueCapacity)
@@ -289,22 +226,29 @@ TEST(MapWorkerTest, EnqueueBlocksAtQueueCapacity)
     std::mutex m;
     std::condition_variable cv;
     bool release = false;
+    std::vector<u32> started;
     std::vector<u32> ran;
 
-    MapWorker worker(/*queue_depth=*/1, /*batch_size=*/1,
-                     [&](std::vector<MapJob> &batch) {
-                         std::unique_lock<std::mutex> lock(m);
-                         cv.wait(lock, [&] { return release; });
-                         for (const MapJob &j : batch)
-                             ran.push_back(j.record.frameIndex);
-                     });
+    MapWorker worker(/*queue_depth=*/1, [&](MapJob &job) {
+        std::unique_lock<std::mutex> lock(m);
+        started.push_back(job.record.frameIndex);
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+        ran.push_back(job.record.frameIndex);
+    });
 
     auto make_job = [](u32 frame) {
         MapJob job;
         job.record.frameIndex = frame;
         return job;
     };
-    worker.enqueue(make_job(0)); // popped by the (gated) drainer
+    // Wait until the drain task is running job 0: a producer facing a
+    // full queue with no job running would run job 0 itself.
+    worker.enqueue(make_job(0));
+    {
+        std::unique_lock<std::mutex> lock(m);
+        cv.wait(lock, [&] { return started.size() == 1; });
+    }
     worker.enqueue(make_job(1)); // fills the queue to capacity
 
     std::atomic<bool> third_enqueued{false};
@@ -411,15 +355,14 @@ TEST(MapWorkerTest, DropOldestEvictsStaleJobsWithAccounting)
     std::vector<u32> dropped;
 
     MapWorker worker(
-        /*queue_depth=*/2, /*batch_size=*/1,
-        [&](std::vector<MapJob> &batch) {
+        /*queue_depth=*/2,
+        [&](MapJob &job) {
             std::unique_lock<std::mutex> lock(m);
-            for (const MapJob &j : batch)
-                ran.push_back(j.record.frameIndex);
+            ran.push_back(job.record.frameIndex);
             cv.notify_all();
             cv.wait(lock, [&] { return release; });
         },
-        OverflowPolicy::DropOldest, /*watchdog_seconds=*/0,
+        OverflowPolicy::DropOldest,
         [&](MapJob &job) { dropped.push_back(job.record.frameIndex); });
 
     auto make_job = [](u32 frame) {
@@ -448,62 +391,46 @@ TEST(MapWorkerTest, DropOldestEvictsStaleJobsWithAccounting)
     EXPECT_EQ(dropped, (std::vector<u32>{1, 2}))
         << "the on-drop callback sees exactly the evicted jobs";
     EXPECT_EQ(worker.droppedJobs(), 2u);
-    EXPECT_EQ(worker.watchdogTrips(), 0u);
 }
 
-TEST(MapWorkerTest, WatchdogUnwedgesBlockedProducer)
+TEST(MapWorkerTest, BlockProducerOnTheOnlyWorkerRunsJobsItself)
 {
-    // Block policy with a watchdog: a producer facing a wedged drainer
-    // waits at most watchdog_seconds, then degrades to drop-oldest
-    // instead of deadlocking the frame loop.
+    // The producer holds the executor's only worker, so the drain task
+    // its first push posts cannot start until the producer returns. A
+    // full Block queue must not wait for that task: the producer runs
+    // the oldest job itself and keeps going.
     std::mutex m;
-    std::condition_variable cv;
-    bool release = false;
     std::vector<u32> ran;
-    std::vector<u32> dropped;
-
-    MapWorker worker(
-        /*queue_depth=*/1, /*batch_size=*/1,
-        [&](std::vector<MapJob> &batch) {
-            std::unique_lock<std::mutex> lock(m);
-            for (const MapJob &j : batch)
-                ran.push_back(j.record.frameIndex);
-            cv.notify_all();
-            cv.wait(lock, [&] { return release; }); // wedged until release
+    auto pool = std::make_unique<ThreadPool>(1);
+    auto worker = std::make_unique<MapWorker>(
+        /*queue_depth=*/1,
+        [&](MapJob &job) {
+            std::lock_guard<std::mutex> lock(m);
+            ran.push_back(job.record.frameIndex);
         },
-        OverflowPolicy::Block, /*watchdog_seconds=*/0.05,
-        [&](MapJob &job) { dropped.push_back(job.record.frameIndex); });
+        OverflowPolicy::Block, nullptr, pool.get());
 
-    auto make_job = [](u32 frame) {
-        MapJob job;
-        job.record.frameIndex = frame;
-        return job;
-    };
-    worker.enqueue(make_job(0)); // popped by the wedged drainer
-    {
-        std::unique_lock<std::mutex> lock(m);
-        cv.wait(lock, [&] { return ran.size() == 1; });
+    std::promise<void> produced;
+    std::future<void> done = produced.get_future();
+    pool->post([&] {
+        for (u32 f = 0; f < 5; ++f) {
+            MapJob job;
+            job.record.frameIndex = f;
+            worker->enqueue(std::move(job));
+        }
+        produced.set_value();
+    });
+    if (done.wait_for(std::chrono::seconds(60)) !=
+        std::future_status::ready) {
+        // The wedged producer would hang both destructors.
+        static_cast<void>(worker.release());
+        static_cast<void>(pool.release());
+        FAIL() << "the producer waited for a drain task queued behind it";
     }
-    worker.enqueue(make_job(1)); // fills the queue
-    auto t0 = std::chrono::steady_clock::now();
-    worker.enqueue(make_job(2)); // watchdog trips, evicts 1
-    auto waited = std::chrono::steady_clock::now() - t0;
-    EXPECT_GE(waited, std::chrono::milliseconds(40))
-        << "the producer must honor the watchdog window first";
-    EXPECT_LT(waited, std::chrono::seconds(30))
-        << "the producer must not block indefinitely";
+    worker->drain();
 
-    EXPECT_EQ(worker.watchdogTrips(), 1u);
-    EXPECT_EQ(worker.droppedJobs(), 1u);
-    EXPECT_EQ(dropped, (std::vector<u32>{1}));
-
-    {
-        std::lock_guard<std::mutex> lock(m);
-        release = true;
-    }
-    cv.notify_all();
-    worker.drain();
-    EXPECT_EQ(ran, (std::vector<u32>{0, 2}));
+    std::lock_guard<std::mutex> lock(m);
+    EXPECT_EQ(ran, (std::vector<u32>{0, 1, 2, 3, 4}));
 }
 
 TEST(AsyncSlam, DropOldestPolicyCompletesFloodedRunWithAccounting)
@@ -527,7 +454,6 @@ TEST(AsyncSlam, DropOldestPolicyCompletesFloodedRunWithAccounting)
     ASSERT_EQ(system.trajectory().size(), ds.frameCount());
     EXPECT_GT(system.mapJobsDropped(), 0u)
         << "a depth-1 queue against a slow mapper must overflow";
-    EXPECT_EQ(system.mapWatchdogTrips(), 0u);
 
     size_t flagged = 0;
     for (const auto &r : system.reports()) {

@@ -8,17 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <future>
-#include <optional>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/bounded_queue.hh"
 #include "common/mutex.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -276,24 +272,6 @@ TEST(ThreadPool, OnWorkerThreadDetection)
     EXPECT_FALSE(pool.onWorkerThread());
 }
 
-TEST(ThreadPool, SubmitRunsTaskAndFulfillsFuture)
-{
-    ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    auto f1 = pool.submit([&] { ran++; });
-    auto f2 = pool.submit([&] { ran++; });
-    f1.wait();
-    f2.wait();
-    EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptions)
-{
-    ThreadPool pool(1);
-    auto f = pool.submit([] { throw std::runtime_error("boom"); });
-    EXPECT_THROW(f.get(), std::runtime_error);
-}
-
 TEST(ThreadPool, PostIsFifoSoARepostRunsBehindWaitingTasks)
 {
     // The fleet's round-robin rests on this: one worker, tasks 0..7
@@ -315,132 +293,6 @@ TEST(ThreadPool, PostIsFifoSoARepostRunsBehindWaitingTasks)
         gate.set_value();
     } // the destructor drains the queue and joins the worker
     EXPECT_EQ((std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 100}), order);
-}
-
-TEST(BoundedQueue, FifoOrder)
-{
-    BoundedQueue<int> q(8);
-    for (int i = 0; i < 5; ++i)
-        EXPECT_TRUE(q.push(i));
-    for (int i = 0; i < 5; ++i) {
-        int v = -1;
-        EXPECT_TRUE(q.pop(v));
-        EXPECT_EQ(v, i);
-    }
-    EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(BoundedQueue, TryPopOnEmptyFails)
-{
-    BoundedQueue<int> q(2);
-    int v = 0;
-    EXPECT_FALSE(q.tryPop(v));
-}
-
-TEST(BoundedQueue, PushBlocksAtCapacityUntilPop)
-{
-    BoundedQueue<int> q(1);
-    EXPECT_TRUE(q.push(1));
-    std::atomic<bool> second_pushed{false};
-    std::thread producer([&] {
-        q.push(2); // blocks until the consumer pops
-        second_pushed = true;
-    });
-    // The producer must be parked on the full queue.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_FALSE(second_pushed.load());
-    int v = 0;
-    EXPECT_TRUE(q.pop(v));
-    EXPECT_EQ(v, 1);
-    producer.join();
-    EXPECT_TRUE(second_pushed.load());
-    EXPECT_TRUE(q.tryPop(v));
-    EXPECT_EQ(v, 2);
-}
-
-TEST(BoundedQueue, TryPushFailsOnFullAndLeavesValueIntact)
-{
-    BoundedQueue<std::string> q(1);
-    std::string a = "first";
-    EXPECT_TRUE(q.tryPush(a));
-    std::string b = "second";
-    EXPECT_FALSE(q.tryPush(b));
-    EXPECT_EQ(b, "second") << "failed tryPush must not move from value";
-    std::string v;
-    EXPECT_TRUE(q.pop(v));
-    EXPECT_EQ(v, "first");
-    EXPECT_TRUE(q.tryPush(b));
-}
-
-TEST(BoundedQueue, TryPushForTimesOutOnWedgedConsumer)
-{
-    BoundedQueue<std::string> q(1);
-    std::string a = "first";
-    EXPECT_TRUE(q.tryPush(a));
-    std::string b = "second";
-    auto t0 = std::chrono::steady_clock::now();
-    EXPECT_FALSE(q.tryPushFor(b, std::chrono::milliseconds(30)));
-    auto waited = std::chrono::steady_clock::now() - t0;
-    EXPECT_GE(waited, std::chrono::milliseconds(25));
-    EXPECT_EQ(b, "second") << "timeout must not move from value";
-
-    // With a consumer draining, the bounded wait succeeds instead.
-    std::thread consumer([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        std::string v;
-        q.pop(v);
-    });
-    EXPECT_TRUE(q.tryPushFor(b, std::chrono::seconds(5)));
-    consumer.join();
-}
-
-TEST(BoundedQueue, PushEvictingOldestDropsFrontAtCapacity)
-{
-    BoundedQueue<int> q(2);
-    std::optional<int> evicted;
-    EXPECT_TRUE(q.pushEvictingOldest(1, evicted));
-    EXPECT_FALSE(evicted.has_value());
-    EXPECT_TRUE(q.pushEvictingOldest(2, evicted));
-    EXPECT_FALSE(evicted.has_value()) << "no eviction below capacity";
-    EXPECT_TRUE(q.pushEvictingOldest(3, evicted));
-    ASSERT_TRUE(evicted.has_value());
-    EXPECT_EQ(*evicted, 1) << "the OLDEST item is evicted";
-    // Survivors keep FIFO order.
-    int v = 0;
-    EXPECT_TRUE(q.pop(v));
-    EXPECT_EQ(v, 2);
-    EXPECT_TRUE(q.pop(v));
-    EXPECT_EQ(v, 3);
-}
-
-TEST(BoundedQueue, EvictingPushFailsOnlyWhenClosed)
-{
-    BoundedQueue<int> q(1);
-    q.close();
-    std::optional<int> evicted;
-    EXPECT_FALSE(q.pushEvictingOldest(1, evicted));
-    EXPECT_FALSE(evicted.has_value());
-    EXPECT_EQ(q.size(), 0u);
-    int v = 0;
-    EXPECT_FALSE(q.tryPush(v)) << "tryPush also refuses a closed queue";
-}
-
-TEST(BoundedQueue, CloseWakesProducerAndDrainsConsumer)
-{
-    BoundedQueue<int> q(1);
-    EXPECT_TRUE(q.push(7));
-    std::thread producer([&] {
-        int v = 99;
-        // Full queue: this push parks, then fails once closed.
-        EXPECT_FALSE(q.push(v));
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    q.close();
-    producer.join();
-    int v = 0;
-    EXPECT_TRUE(q.pop(v)); // closed queues still drain
-    EXPECT_EQ(v, 7);
-    EXPECT_FALSE(q.pop(v)); // and then report exhaustion
 }
 
 // ---------------------------------------------------------------------

@@ -16,15 +16,20 @@
  *  - weighted-round-robin turns bound per-session interleaving (and
  *    hence latency) under a burst from another session;
  *  - admission control rejects/queues past capacity; teardown drains
- *    cleanly with exact drop accounting.
+ *    cleanly with exact drop accounting;
+ *  - async sessions make progress even when every worker is inside a
+ *    turn that waits for its own session's mapping.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "slam/fleet_runtime.hh"
@@ -240,8 +245,8 @@ TEST(FleetRuntime, ConcurrentSessionsStayIsolated)
     health_cfg.reloc.enabled = true;
 
     SlamConfig async_cfg = fastConfig(BaseAlgorithm::PhotoSlam);
-    async_cfg.mapQueueDepth = 16; // deeper than the frame count:
-    async_cfg.mapBatchSize = 1;   // never blocks, never drops
+    // Deeper than the frame count: never blocks, never drops.
+    async_cfg.mapQueueDepth = 16;
 
     SoloRun solo_health(health_cfg);
     SoloRun solo_async(async_cfg);
@@ -475,6 +480,65 @@ TEST(FleetRuntime, AdmissionRejectsAndQueuesPastCapacity)
     // Unknown ids are handled, not crashed on.
     EXPECT_EQ(nullptr, fleet.system(9999));
     EXPECT_EQ(0u, fleet.sessionStats(9999).submitted);
+}
+
+// ---------------------------------------------------------------- //
+//               Async mapping inside turns: no deadlock            //
+// ---------------------------------------------------------------- //
+
+TEST(FleetRuntime, AsyncSessionsWaitingForTheirOwnMapMakeProgress)
+{
+    // A weight-2 turn enqueues frame 0's map job and then tracks frame
+    // 1, which needs that job's snapshot. The drain task frame 0
+    // posted sits behind the turn on the fleet's pool; with every
+    // worker inside such a turn (1 worker / 1 session, 2 workers / 2
+    // sessions, all frames staged before start()), the turn must run
+    // the job itself. A deadlocked fleet fails the bounded wait here
+    // instead of hanging the suite.
+    auto &ds = tinyDataset();
+    SlamConfig cfg = fastConfig(BaseAlgorithm::MonoGs);
+    cfg.mapQueueDepth = 2;
+    for (size_t workers : {size_t(1), size_t(2)}) {
+        FleetConfig fleet_cfg;
+        fleet_cfg.workers = workers;
+        fleet_cfg.startPaused = true;
+        auto fleet = std::make_unique<FleetRuntime>(fleet_cfg);
+        std::vector<FleetRuntime::SessionId> ids(workers);
+        for (FleetRuntime::SessionId &id : ids) {
+            FleetSessionConfig session;
+            session.slam = cfg;
+            session.intrinsics = ds.intrinsics();
+            session.weight = 2;
+            ASSERT_EQ(AdmitDecision::Admitted,
+                      fleet->openSession(session, id));
+            submitAll(*fleet, id);
+        }
+        fleet->start();
+
+        auto all_done = [&] {
+            for (FleetRuntime::SessionId id : ids)
+                if (fleet->sessionStats(id).completed < ds.frameCount())
+                    return false;
+            return true;
+        };
+        auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        while (!all_done() && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        if (!all_done()) {
+            // The wedged workers would hang the fleet's destructor.
+            static_cast<void>(fleet.release());
+            FAIL() << workers << "-worker fleet stopped making progress";
+        }
+
+        for (FleetRuntime::SessionId id : ids) {
+            fleet->drainSession(id);
+            SlamSystem *sys = fleet->system(id);
+            ASSERT_NE(nullptr, sys);
+            EXPECT_EQ(ds.frameCount(), sys->trajectory().size());
+            EXPECT_GT(sys->cloud().size(), 0u);
+        }
+    }
 }
 
 // ---------------------------------------------------------------- //

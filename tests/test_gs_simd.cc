@@ -8,8 +8,8 @@
  *  - the approx exp honours its <= 16 ulp bound and the faithful exp
  *    its <= 1 ulp bound over the live power range, on whatever path
  *    the process dispatches to (AVX2 or scalar);
- *  - fp16/bf16 column round-trips stay within half-ulp-of-format
- *    bounds, and the packed CowColumn keeps COW semantics;
+ *  - fp16 column round-trips stay within half-ulp-of-format bounds,
+ *    and the packed CowColumn keeps COW semantics;
  *  - every rung is bitwise deterministic across 1/2/4 render workers.
  */
 
@@ -187,7 +187,7 @@ TEST(SimdExp, FaithfulWithinOneUlpOverLiveRange)
 }
 
 // ---------------------------------------------------------------------
-// fp16 / bf16 conversions and packed-column semantics
+// fp16 conversions and packed-column semantics
 // ---------------------------------------------------------------------
 
 TEST(HalfFloat, RoundTripBoundsFp16)
@@ -208,19 +208,6 @@ TEST(HalfFloat, RoundTripBoundsFp16)
     // Exact values survive exactly.
     for (float v : {1.0f, -2.5f, 0.125f, 1024.0f})
         EXPECT_EQ(halfBitsToFloat(floatToHalfBits(v)), v);
-}
-
-TEST(HalfFloat, RoundTripBoundsBf16)
-{
-    Rng rng(9);
-    // bf16 RNE: relative error <= 2^-8.
-    for (int i = 0; i < 20000; ++i) {
-        float v = static_cast<float>(rng.uniform(-1e4, 1e4));
-        float r = bf16BitsToFloat(floatToBf16Bits(v));
-        EXPECT_LE(std::abs(r - v), std::abs(v) * (1.0f / 256) + 1e-30f)
-            << "v=" << v;
-    }
-    EXPECT_TRUE(std::isnan(bf16BitsToFloat(floatToBf16Bits(NAN))));
 }
 
 TEST(PackedColumn, LoadStoreAndCowSemantics)
@@ -264,12 +251,6 @@ TEST(PackedColumn, LoadStoreAndCowSemantics)
     snap.shCoeffs.setPrecision(ColumnPrecision::Full);
     EXPECT_EQ(snap.shCoeffs.precision(), ColumnPrecision::Full);
     (void)snap.shCoeffs.view();
-
-    // bf16 flavour widens exactly (truncated fp32).
-    CowColumn<Real> col;
-    col.pushBack(1.5f);
-    col.setPrecision(ColumnPrecision::BFloat16);
-    EXPECT_EQ(col.load(0), 1.5f);
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for multi-view mapping iterations (SlamConfig::multiViewWindow):
+ * Tests for multi-view mapping iterations (MapperConfig::multiViewWindow):
  * window selection, the B <= 1 byte-identity contract with the
  * sequential per-keyframe recipe, bitwise render-worker-count
  * independence of the B > 1 accumulation, and the averaged-update
@@ -100,7 +100,7 @@ runSequence(BaseAlgorithm algo, u32 multi_view_window,
 {
     auto &ds = tinyDataset();
     SlamConfig cfg = fastConfig(algo);
-    cfg.multiViewWindow = multi_view_window;
+    cfg.mapper.multiViewWindow = multi_view_window;
     SlamSystem system(cfg, ds.intrinsics());
     if (pool)
         system.setRenderPool(pool);
@@ -194,9 +194,8 @@ TEST(MultiView, WindowOneByteIdenticalToSequentialOnAllProfiles)
 TEST(MultiView, MultiViewBitwiseIndependentOfRenderWorkers)
 {
     // The B > 1 accumulation folds views in a fixed order over fixed
-    // per-Gaussian chunks, and the overlapped forward is bitwise equal
-    // to the inline one — so the same run at 1/2/4 render workers must
-    // produce identical trajectories and maps.
+    // per-Gaussian chunks — so the same run at 1/2/4 render workers
+    // must produce identical trajectories and maps.
     std::vector<std::vector<SE3>> trajectories;
     std::vector<gs::GaussianCloud> clouds;
     for (size_t workers : {1u, 2u, 4u}) {
@@ -214,10 +213,9 @@ TEST(MultiView, MultiViewBitwiseIndependentOfRenderWorkers)
 
 TEST(MultiView, AsyncMultiViewBitwiseIndependentOfRenderWorkers)
 {
-    // Same contract with mapping on the pool: the drain task is itself
-    // a pool worker, so this exercises the on-worker overlap gating
-    // (a 1-worker pool must fall back to inline forwards rather than
-    // deadlock). Drained per frame for identical snapshot visibility.
+    // Same contract with mapping behind the async queue: a job runs on
+    // a pool worker or on the frame loop. Drained per frame for
+    // identical snapshot visibility.
     auto &ds = tinyDataset();
     std::vector<std::vector<SE3>> trajectories;
     std::vector<gs::GaussianCloud> clouds;
@@ -225,7 +223,7 @@ TEST(MultiView, AsyncMultiViewBitwiseIndependentOfRenderWorkers)
         ThreadPool pool(workers);
         SlamConfig cfg = fastConfig(BaseAlgorithm::SplaTam);
         cfg.mapQueueDepth = 2;
-        cfg.multiViewWindow = 2;
+        cfg.mapper.multiViewWindow = 2;
         SlamSystem system(cfg, ds.intrinsics());
         system.setRenderPool(&pool);
         for (u32 f = 0; f < ds.frameCount(); ++f) {
@@ -261,10 +259,11 @@ TEST(MultiView, DuplicateViewAverageEqualsSingleViewStep)
         Mapper mapper(cfg);
         gs::RenderPipeline pipeline;
         gs::GaussianCloud cloud;
-        std::vector<MapBatchItem> items(2);
-        items[0].record = kf;
-        items[1].record = kf;
-        mapper.mapBatch(pipeline, cloud, ds.intrinsics(), items);
+        for (int k = 0; k < 2; ++k) {
+            MapBatchItem item;
+            item.record = kf;
+            mapper.mapBatch(pipeline, cloud, ds.intrinsics(), item);
+        }
         return cloud;
     };
 

@@ -209,7 +209,7 @@ TEST(RtgsSlamTest, QuickstartPosesStayOnSo3)
     cfg.base.tracker.iterations = 12;
     cfg.base.mapper.iterations = 15;
     cfg.gate.enabled = true;
-    cfg.base.multiViewWindow = 2;
+    cfg.base.mapper.multiViewWindow = 2;
     cfg.base.health.enabled = true;
     cfg.base.reloc.enabled = true;
     RtgsSlam rtgs(cfg, ds.intrinsics());
@@ -376,7 +376,6 @@ TEST(RtgsSlamTest, PruningRunsWithAsyncMapping)
     cfg.base.tracker.earlyStop = false;
     cfg.pruner.initialInterval = 3;
     cfg.base.mapQueueDepth = 2;
-    cfg.base.mapBatchSize = 2;
     RtgsSlam rtgs(cfg, ds.intrinsics());
     EXPECT_EQ(rtgs.config().base.mapQueueDepth, 2u)
         << "pruning must no longer clamp async mapping to sync";

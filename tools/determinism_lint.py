@@ -47,11 +47,10 @@ into mechanical checks over the source tree:
                         faithfully-rounded exp is the sanctioned,
                         marker-delimited exception.
   tsan-filter           Every test file that uses ThreadPool /
-                        MapWorker / BoundedQueue / FleetRuntime must
-                        have at least one test matched by the
-                        thread-sanitizer job's --gtest_filter allowlist
-                        in ci.yml, so new concurrency tests cannot
-                        silently dodge TSan.
+                        MapWorker / FleetRuntime must have at least
+                        one test matched by the thread-sanitizer job's
+                        --gtest_filter allowlist in ci.yml, so new
+                        concurrency tests cannot silently dodge TSan.
   global-pool           No globalPool() reference in the fleet layer
                         (src/slam/fleet_*): fleet code must run on the
                         fleet's own pool; reaching for the
@@ -391,12 +390,12 @@ def check_cow_raw_access(src, relpath):
 # ---------------------------------------------------------------------
 
 CONCURRENCY_TOKEN_RE = re.compile(
-    r"\bThreadPool\b|\bMapWorker\b|\bBoundedQueue\b|\bparallelForChunks\b|"
+    r"\bThreadPool\b|\bMapWorker\b|\bparallelForChunks\b|"
     r"\bFleetRuntime\b")
 # Matched against the RAW text: the comment/string stripper blanks
 # include paths (they are string literals).
 CONCURRENCY_INCLUDE_RE = re.compile(
-    r'#include\s+"(common/thread_pool|common/bounded_queue|'
+    r'#include\s+"(common/thread_pool|'
     r'slam/map_worker|slam/fleet_runtime)\.hh"')
 TEST_DECL_RE = re.compile(
     r"\bTEST(?:_F|_P)?\s*\(\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)")
@@ -452,7 +451,7 @@ def check_tsan_coverage(ci_text, test_files):
         if not covered:
             findings.append(Finding(
                 relpath, 1, "tsan-filter",
-                "uses ThreadPool/MapWorker/BoundedQueue but no test in "
+                "uses ThreadPool/MapWorker/FleetRuntime but no test in "
                 "it matches the thread-sanitizer --gtest_filter "
                 "allowlist in ci.yml; add its suite to the filter"))
     return findings
