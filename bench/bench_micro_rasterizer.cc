@@ -6,7 +6,7 @@
  * every harness in this directory.
  *
  * After the registered benchmarks run, main() times the seed's serial
- * AoS forward path (gs/reference.hh) against the parallel SoA pipeline
+ * AoS forward path (gs/reference.hh) against the parallel pipeline
  * head-to-head, checks the rendered images agree to 1e-6 per channel,
  * and writes the result to BENCH_micro_rasterizer.json (override the
  * path with RTGS_BENCH_JSON) so the perf trajectory is recorded in CI.
@@ -345,7 +345,7 @@ backwardGroundTruth64(const gs::ForwardContext &ctx,
         u32 x0, y0, x1, y1;
         ctx.grid.tileBounds(tile, x0, y0, x1, y1);
         const std::vector<gs::HotSplat> &splats =
-            gs::gatherTileSplats(ctx.projected.soa, ctx.bins, tile);
+            gs::gatherTileSplats(ctx.projected, ctx.bins, tile);
         const u32 *ids = ctx.bins.tileData(tile);
 
         struct Frag
@@ -630,7 +630,7 @@ writeComparison()
         lad.approx_speedup);
     std::fclose(out);
 
-    std::printf("\n== forward pass: seed serial vs parallel SoA ==\n");
+    std::printf("\n== forward pass: seed serial vs parallel pipeline ==\n");
     std::printf("seed  %.3f ms wall / %.3f ms cpu\n", seed_wall, seed_cpu);
     std::printf("rtgs  %.3f ms wall / %.3f ms cpu\n", rtgs_wall, rtgs_cpu);
     std::printf("speedup %.2fx wall, %.2fx cpu; max channel diff %.3g\n",

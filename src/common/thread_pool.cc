@@ -17,8 +17,8 @@ thread_local ThreadPool *tl_current_pool = nullptr;
 
 ThreadPool::ThreadPool(size_t num_threads)
 {
-    // A parallelFor caller runs chunks alongside the workers, so the
-    // default leaves one core to it.
+    // A parallelForChunks caller runs chunks alongside the workers, so
+    // the default leaves one core to it.
     if (num_threads == 0)
         num_threads = std::max(2u, std::thread::hardware_concurrency()) - 1;
     workers_.reserve(num_threads);
@@ -90,8 +90,8 @@ ThreadPool::parallelForChunks(size_t begin, size_t end,
         return;
 
     size_t total = end - begin;
-    // A worker calling parallelFor must not block on chunks that only
-    // workers can drain (it *is* the drain); run the range inline.
+    // A worker calling parallelForChunks must not block on chunks that
+    // only workers can drain (it *is* the drain); run the range inline.
     if (total == 1 || workers_.empty() || onWorkerThread()) {
         fn(begin, end);
         return;
@@ -145,16 +145,6 @@ ThreadPool::parallelForChunks(size_t begin, size_t end,
     std::unique_lock<std::mutex> lock(state->mutex);
     state->cv.wait(lock, [&] {
         return state->done.load() == state->chunks;
-    });
-}
-
-void
-ThreadPool::parallelFor(size_t begin, size_t end,
-                        const std::function<void(size_t)> &fn)
-{
-    parallelForChunks(begin, end, [&fn](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i)
-            fn(i);
     });
 }
 

@@ -1,16 +1,18 @@
 /**
  * @file
- * A small fixed-size thread pool with a blocking parallel-for.
+ * A small fixed-size thread pool with a blocking chunked parallel-for.
  *
- * The rendering pipeline parallelises over Gaussians (projection,
- * binning) and over image tiles (rasterisation); the pool provides the
- * worker threads. A process-wide pool (globalPool()) is shared by all
- * render pipelines so thread creation cost is paid once.
+ * The rendering pipeline parallelises over Gaussians (projection, the
+ * preprocessing backward) and over image tiles (depth sort,
+ * rasterisation, backward); the pool provides the worker threads. A
+ * process-wide pool (globalPool()) is shared by all render pipelines so
+ * thread creation cost is paid once.
  *
- * parallelFor is safe to call from inside a worker thread: nested calls
- * are detected and run inline instead of enqueuing chunks that only the
- * (blocked) workers could drain. The calling thread also participates in
- * chunk execution, so a parallelFor never idles the caller.
+ * parallelForChunks is safe to call from inside a worker thread: nested
+ * calls are detected and run inline instead of enqueuing chunks that
+ * only the (blocked) workers could drain. The calling thread also
+ * participates in chunk execution, so a parallel loop never idles the
+ * caller.
  */
 
 #ifndef RTGS_COMMON_THREAD_POOL_HH
@@ -31,8 +33,8 @@ namespace rtgs
 
 /**
  * Fixed-size worker pool over one FIFO task queue. Tasks are
- * std::function<void()>; parallelFor blocks the caller until all chunks
- * complete (helping to run them).
+ * std::function<void()>; parallelForChunks blocks the caller until all
+ * chunks complete (helping to run them).
  *
  * Contract for posted tasks (pinned by ThreadPoolPostProperty and
  * ThreadPool.PostIsFifoSoARepostRunsBehindWaitingTasks):
@@ -51,7 +53,8 @@ class ThreadPool
      *
      * @param num_threads Worker count; 0 selects
      *        max(1, hardware_concurrency - 1), so that the workers plus
-     *        a parallelFor caller (which runs chunks too) fill the cores.
+     *        a parallelForChunks caller (which runs chunks too) fill the
+     *        cores.
      */
     explicit ThreadPool(size_t num_threads = 0);
     ~ThreadPool();
@@ -66,24 +69,17 @@ class ThreadPool
     bool onWorkerThread() const;
 
     /**
-     * Run fn(i) for every i in [begin, end), split into contiguous chunks
-     * across the workers and the calling thread; blocks until all
-     * iterations finish. Nested calls from worker threads run inline.
-     */
-    void parallelFor(size_t begin, size_t end,
-                     const std::function<void(size_t)> &fn);
-
-    /**
-     * Chunked variant: fn(lo, hi) is invoked once per contiguous chunk,
-     * letting hot loops avoid a std::function call per index. Same
-     * blocking / nesting semantics as parallelFor.
+     * Split [begin, end) into contiguous chunks and invoke fn(lo, hi)
+     * once per chunk across the workers and the calling thread; blocks
+     * until every chunk finishes. Nested calls from worker threads run
+     * the whole range inline.
      */
     void parallelForChunks(size_t begin, size_t end,
                            const std::function<void(size_t, size_t)> &fn);
 
     /**
      * Enqueue a standalone task (fire-and-forget: no future). Unlike
-     * parallelFor the caller does not block or participate. The task
+     * parallelForChunks the caller does not block or participate. The task
      * must not throw. Used by the asynchronous mapping stage and the
      * fleet scheduler, which track completion themselves.
      */

@@ -47,23 +47,6 @@ Gradient2DBuffers::resize(size_t n)
 }
 
 void
-Gradient2DBuffers::setZero()
-{
-    std::fill(dMean2d.begin(), dMean2d.end(), Vec2f{});
-    std::fill(dConic.begin(), dConic.end(), Sym2f{});
-    std::fill(dColor.begin(), dColor.end(), Vec3f{});
-    std::fill(dOpacityAct.begin(), dOpacityAct.end(), Real(0));
-    std::fill(dDepth.begin(), dDepth.end(), Real(0));
-}
-
-void
-Gradient2DBuffers::accumulate(const Gradient2DBuffers &other)
-{
-    rtgs_assert(other.size() == size());
-    accumulateRange(other, 0, size());
-}
-
-void
 Gradient2DBuffers::accumulateRange(const Gradient2DBuffers &other,
                                    size_t lo, size_t hi)
 {
@@ -88,16 +71,6 @@ Gradient2DBuffers::scaleRange(Real s, size_t lo, size_t hi)
     }
 }
 
-Real
-Gradient2DBuffers::magnitude(size_t k) const
-{
-    Real m2 = dMean2d[k].squaredNorm() + dColor[k].squaredNorm() +
-              dOpacityAct[k] * dOpacityAct[k] + dDepth[k] * dDepth[k] +
-              dConic[k].xx * dConic[k].xx + dConic[k].xy * dConic[k].xy +
-              dConic[k].yy * dConic[k].yy;
-    return std::sqrt(m2);
-}
-
 void
 backwardTile(u32 tile, const ProjectedCloud &projected,
              const TileBins &bins, const TileGrid &grid,
@@ -112,7 +85,7 @@ backwardTile(u32 tile, const ProjectedCloud &projected,
 
     // Same contiguous hot-splat stream the forward rasteriser walks.
     const std::vector<HotSplat> &splats =
-        gatherTileSplats(projected.soa, bins, tile);
+        gatherTileSplats(projected, bins, tile);
     const u32 *tile_ids = bins.tileData(tile);
 
     std::vector<FragRecord> frags;
@@ -284,7 +257,7 @@ backwardTileSplatMajor(u32 tile, const ProjectedCloud &projected,
         return;
 
     const std::vector<HotSplat> &splats =
-        gatherTileSplats(projected.soa, bins, tile);
+        gatherTileSplats(projected, bins, tile);
 
     static thread_local std::vector<Real> scratch;
     scratch.resize(2 * static_cast<size_t>(tw));

@@ -36,20 +36,16 @@ struct Gradient2DBuffers
     std::vector<Real> dDepth;        //!< w.r.t. camera-space depth
 
     void resize(size_t n);
-    void setZero();
     size_t size() const { return dMean2d.size(); }
-    void accumulate(const Gradient2DBuffers &other);
 
-    /** accumulate() restricted to Gaussians [lo, hi) — the chunk body
-     *  of parallel reductions (RenderPipeline::accumulateBackward). */
+    /** Elementwise in-place sum over Gaussians [lo, hi) — the chunk
+     *  body of parallel reductions (RenderPipeline::accumulateBackward).
+     *  Shapes must match. */
     void accumulateRange(const Gradient2DBuffers &other, size_t lo,
                          size_t hi);
 
     /** Scale every lane of Gaussians [lo, hi) by s. */
     void scaleRange(Real s, size_t lo, size_t hi);
-
-    /** L2 magnitude of the combined 2D gradient of Gaussian k. */
-    Real magnitude(size_t k) const;
 };
 
 /** Everything the backward pass produces. */

@@ -19,7 +19,7 @@ parallelCopyBytes(void *dst, const void *src, size_t bytes)
 {
     if (bytes == 0)
         return; // empty columns have null data(); memcpy(null) is UB
-    // Below this size the parallelFor dispatch costs more than the copy.
+    // Below this size the parallel dispatch costs more than the copy.
     constexpr size_t parallelThreshold = size_t(1) << 20;
     if (bytes < parallelThreshold ||
         std::thread::hardware_concurrency() <= 1) {
@@ -166,24 +166,6 @@ CloudGrads::resize(size_t n)
     dOpacityLogits.assign(n, 0);
     dShCoeffs.assign(n, {});
     covGradNorms.assign(n, 0);
-}
-
-void
-CloudGrads::setZero()
-{
-    std::fill(dPositions.begin(), dPositions.end(), Vec3f{});
-    std::fill(dLogScales.begin(), dLogScales.end(), Vec3f{});
-    std::fill(dRotations.begin(), dRotations.end(), Quatf{0, 0, 0, 0});
-    std::fill(dOpacityLogits.begin(), dOpacityLogits.end(), Real(0));
-    std::fill(dShCoeffs.begin(), dShCoeffs.end(), Vec3f{});
-    std::fill(covGradNorms.begin(), covGradNorms.end(), Real(0));
-}
-
-void
-CloudGrads::accumulate(const CloudGrads &other)
-{
-    rtgs_assert(other.size() == size());
-    accumulateRange(other, 0, size());
 }
 
 void

@@ -422,14 +422,6 @@ class CowColumn
         return data_ == other.data_ && packed_ == other.packed_;
     }
 
-    /** Snapshot holders (including this column) of the active buffer. */
-    long
-    useCount() const
-    {
-        return prec_ == ColumnPrecision::Full ? data_.use_count()
-                                              : packed_.use_count();
-    }
-
   private:
     static const std::shared_ptr<Storage> &
     sharedEmpty()
@@ -615,14 +607,11 @@ struct CloudGrads
     std::vector<Vec3f> dShCoeffs;
 
     void resize(size_t n);
-    void setZero();
     size_t size() const { return dPositions.size(); }
 
-    /** Elementwise in-place sum; shapes must match. */
-    void accumulate(const CloudGrads &other);
-
-    /** accumulate() restricted to Gaussians [lo, hi) — the chunk body
-     *  of parallel reductions (RenderPipeline::accumulateBackward). */
+    /** Elementwise in-place sum over Gaussians [lo, hi) — the chunk
+     *  body of parallel reductions (RenderPipeline::accumulateBackward).
+     *  Shapes must match. */
     void accumulateRange(const CloudGrads &other, size_t lo, size_t hi);
 
     /** Scale every lane of Gaussians [lo, hi) by s. */

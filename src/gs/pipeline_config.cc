@@ -1,7 +1,5 @@
 #include "gs/pipeline_config.hh"
 
-#include <cstring>
-
 namespace rtgs::gs
 {
 
@@ -17,26 +15,6 @@ pipelinePresetName(PipelinePreset preset)
         break;
     }
     return "precise";
-}
-
-bool
-pipelinePresetFromName(const char *name, PipelinePreset &out)
-{
-    if (name == nullptr)
-        return false;
-    if (std::strcmp(name, "precise") == 0) {
-        out = PipelinePreset::Precise;
-        return true;
-    }
-    if (std::strcmp(name, "fast") == 0) {
-        out = PipelinePreset::Fast;
-        return true;
-    }
-    if (std::strcmp(name, "fastest_approx") == 0) {
-        out = PipelinePreset::FastestApprox;
-        return true;
-    }
-    return false;
 }
 
 ColumnPrecision

@@ -51,12 +51,6 @@ struct PipelineConfig
 const char *pipelinePresetName(PipelinePreset preset);
 
 /**
- * Parse a preset name (as produced by pipelinePresetName). Returns
- * false and leaves `out` untouched on an unknown name.
- */
-bool pipelinePresetFromName(const char *name, PipelinePreset &out);
-
-/**
  * Storage precision the preset asks of the low-sensitivity columns
  * (colour SH DC + opacity logit). Position/scale/rotation always stay
  * fp32 — they feed the EWA Jacobian, where fp16 quantisation moves

@@ -18,22 +18,6 @@ ProjectedCloud::validCount() const
     return n;
 }
 
-void
-ProjectedSoA::resize(size_t n)
-{
-    meanX.resize(n);
-    meanY.resize(n);
-    conicXX.resize(n);
-    conicXY.resize(n);
-    conicYY.resize(n);
-    opacity.resize(n);
-    colorR.resize(n);
-    colorG.resize(n);
-    colorB.resize(n);
-    depth.resize(n);
-    powerSkip.resize(n);
-}
-
 namespace
 {
 
@@ -77,11 +61,9 @@ projectGaussians(const GaussianCloud &cloud, const Camera &camera,
 {
     ProjectedCloud out;
     out.items.resize(cloud.size());
-    out.soa.resize(cloud.size());
 
     const Mat3f &W = camera.pose.rot;
     const Intrinsics &intr = camera.intr;
-    const Real inf = std::numeric_limits<Real>::infinity();
 
     // Hoist the COW column views once; the loop then reads plain
     // vectors (no per-access shared-pointer indirection). Colour and
@@ -95,13 +77,12 @@ projectGaussians(const GaussianCloud &cloud, const Camera &camera,
     const auto &sh_coeffs = cloud.shCoeffs;
     const auto &opacity_logits = cloud.opacityLogits;
 
-    // Each Gaussian writes only its own AoS record and SoA slots, so the
-    // loop is embarrassingly parallel and deterministic.
+    // Each Gaussian writes only its own record, so the loop is
+    // embarrassingly parallel and deterministic.
     pool.parallelForChunks(
         0, cloud.size(), [&](size_t lo, size_t hi) {
         for (size_t k = lo; k < hi; ++k) {
             Projected2D &p = out.items[k];
-            out.soa.powerSkip[k] = inf; // culled entries skip everything
             if (!active[k])
                 continue;
 
@@ -167,6 +148,7 @@ projectGaussians(const GaussianCloud &cloud, const Camera &camera,
             p.cov2d = cov2d;
             p.conic = conic;
             p.opacity = sigmoid(opacity_logits.load(k));
+            p.powerSkip = expSkipBound(p.opacity, settings.alphaMin);
 
             Vec3f raw = sh_coeffs.load(k) * shC0 + Vec3f{0.5f, 0.5f, 0.5f};
             p.color = {std::max(Real(0), raw.x), std::max(Real(0), raw.y),
@@ -177,19 +159,6 @@ projectGaussians(const GaussianCloud &cloud, const Camera &camera,
             p.radius = radius;
             p.camPoint = t;
             p.valid = true;
-
-            out.soa.meanX[k] = p.mean2d.x;
-            out.soa.meanY[k] = p.mean2d.y;
-            out.soa.conicXX[k] = p.conic.xx;
-            out.soa.conicXY[k] = p.conic.xy;
-            out.soa.conicYY[k] = p.conic.yy;
-            out.soa.opacity[k] = p.opacity;
-            out.soa.colorR[k] = p.color.x;
-            out.soa.colorG[k] = p.color.y;
-            out.soa.colorB[k] = p.color.z;
-            out.soa.depth[k] = p.depth;
-            out.soa.powerSkip[k] =
-                expSkipBound(p.opacity, settings.alphaMin);
         }
     });
     return out;

@@ -2,12 +2,15 @@
  * @file
  * Step 1 (Preprocessing) of the rendering pipeline: project each 3D
  * Gaussian into an elliptical 2D Gaussian on the image plane (EWA
- * splatting) and compute its screen-space footprint.
+ * splatting) and compute its screen-space footprint. The result is one
+ * Projected2D record per Gaussian; the tile kernels gather the fields
+ * they read straight from these records.
  */
 
 #ifndef RTGS_GS_PROJECTION_HH
 #define RTGS_GS_PROJECTION_HH
 
+#include <limits>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -55,6 +58,15 @@ struct Projected2D
     Sym2f conic;     //!< inverse of blurred covariance
     Vec3f color;     //!< activated RGB
     Real opacity = 0; //!< activated opacity
+    /**
+     * Exact alpha-threshold skip bound: any fragment whose exponent
+     * power satisfies power < powerSkip is guaranteed (with a safety
+     * margin well above float rounding) to land below alphaMin, so the
+     * rasterizer can skip the std::exp without changing the output.
+     * projectGaussians sets it for every valid record; the default
+     * skips nothing.
+     */
+    Real powerSkip = -std::numeric_limits<Real>::infinity();
     Real radius = 0; //!< 3-sigma footprint radius in pixels
     Vec3f camPoint;  //!< camera-space mean (t), reused by BP
     bool valid = false;
@@ -62,39 +74,10 @@ struct Projected2D
     Vec3f colorClampMask{1, 1, 1};
 };
 
-/**
- * Structure-of-arrays view of the hot per-Gaussian fields the per-pixel
- * inner loops read (Steps 3-4). The full Projected2D records keep every
- * cold field (cov2d, camPoint, clamp masks) for the preprocessing
- * backward pass; rasterizeTile / backwardTile only ever touch these
- * arrays, so fragments stream through contiguous memory instead of
- * striding across ~100-byte AoS records.
- */
-struct ProjectedSoA
-{
-    std::vector<Real> meanX, meanY;                //!< pixel-space centre
-    std::vector<Real> conicXX, conicXY, conicYY;   //!< inverse covariance
-    std::vector<Real> opacity;                     //!< activated opacity
-    std::vector<Real> colorR, colorG, colorB;      //!< activated RGB
-    std::vector<Real> depth;                       //!< camera-space z
-    /**
-     * Exact alpha-threshold skip bound: any fragment whose exponent
-     * power satisfies power < powerSkip is guaranteed (with a safety
-     * margin well above float rounding) to land below alphaMin, so the
-     * rasterizer can skip the std::exp without changing the output.
-     */
-    std::vector<Real> powerSkip;
-
-    void resize(size_t n);
-    size_t size() const { return depth.size(); }
-};
-
 /** Result of projecting an entire cloud. */
 struct ProjectedCloud
 {
     std::vector<Projected2D> items;
-    /** Hot-field SoA mirror of items, filled during projection. */
-    ProjectedSoA soa;
 
     size_t size() const { return items.size(); }
     const Projected2D &operator[](size_t i) const { return items[i]; }

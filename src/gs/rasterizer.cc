@@ -41,25 +41,26 @@ makeRenderResult(const TileGrid &grid)
 }
 
 const std::vector<HotSplat> &
-gatherTileSplats(const ProjectedSoA &soa, const TileBins &bins, u32 tile)
+gatherTileSplats(const ProjectedCloud &projected, const TileBins &bins,
+                 u32 tile)
 {
     static thread_local std::vector<HotSplat> scratch;
     u32 lo = bins.offsets[tile], hi = bins.offsets[tile + 1];
     scratch.resize(hi - lo);
     for (u32 i = lo; i < hi; ++i) {
-        u32 k = bins.indices[i];
+        const Projected2D &p = projected.items[bins.indices[i]];
         HotSplat &h = scratch[i - lo];
-        h.mx = soa.meanX[k];
-        h.my = soa.meanY[k];
-        h.cxx = soa.conicXX[k];
-        h.cxy = soa.conicXY[k];
-        h.cyy = soa.conicYY[k];
-        h.powerSkip = soa.powerSkip[k];
-        h.opacity = soa.opacity[k];
-        h.r = soa.colorR[k];
-        h.g = soa.colorG[k];
-        h.b = soa.colorB[k];
-        h.depth = soa.depth[k];
+        h.mx = p.mean2d.x;
+        h.my = p.mean2d.y;
+        h.cxx = p.conic.xx;
+        h.cxy = p.conic.xy;
+        h.cyy = p.conic.yy;
+        h.powerSkip = p.powerSkip;
+        h.opacity = p.opacity;
+        h.r = p.color.x;
+        h.g = p.color.y;
+        h.b = p.color.z;
+        h.depth = p.depth;
     }
     return scratch;
 }
@@ -88,7 +89,7 @@ rasterizeTile(u32 tile, const ProjectedCloud &projected,
     }
 
     const std::vector<HotSplat> &splats =
-        gatherTileSplats(projected.soa, bins, tile);
+        gatherTileSplats(projected, bins, tile);
     const u32 n_splats = static_cast<u32>(splats.size());
     const Real alpha_min = settings.alphaMin;
     const Real alpha_max = settings.alphaMax;
@@ -163,16 +164,6 @@ rasterizeTile(u32 tile, const ProjectedCloud &projected,
             result.nBlended.at(px, py) = st_blend[i];
         }
     }
-}
-
-RenderResult
-rasterize(const ProjectedCloud &projected, const TileBins &bins,
-          const TileGrid &grid, const RenderSettings &settings)
-{
-    RenderResult result = makeRenderResult(grid);
-    for (u32 t = 0; t < grid.tileCount(); ++t)
-        rasterizeTile(t, projected, bins, grid, settings, result);
-    return result;
 }
 
 } // namespace rtgs::gs

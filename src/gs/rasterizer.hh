@@ -49,9 +49,10 @@ struct RenderResult
 
 /**
  * One tile-local splat record: the 11 hot scalars a fragment reads,
- * packed so the per-pixel loops walk a single contiguous 44-byte-stride
- * stream instead of gathering through the index buffer on every
- * fragment. The fields the reject paths need come first.
+ * gathered from the Projected2D records so the per-pixel loops walk a
+ * single contiguous 44-byte-stride stream instead of gathering through
+ * the index buffer on every fragment. The fields the reject paths need
+ * come first.
  */
 struct HotSplat
 {
@@ -64,13 +65,12 @@ struct HotSplat
 };
 
 /**
- * Gather one tile's (depth-ordered) bin range from the projected SoA
- * into a thread-local scratch buffer; valid until the next call on the
- * same thread. Shared by the forward and backward tile kernels.
+ * Gather one tile's (depth-ordered) bin range from the projected
+ * records into a thread-local scratch buffer; valid until the next call
+ * on the same thread. Shared by the forward and backward tile kernels.
  */
-const std::vector<HotSplat> &gatherTileSplats(const ProjectedSoA &soa,
-                                              const TileBins &bins,
-                                              u32 tile);
+const std::vector<HotSplat> &gatherTileSplats(
+    const ProjectedCloud &projected, const TileBins &bins, u32 tile);
 
 /**
  * Evaluate splat g's Gaussian exponent over one pixel row: pixels
@@ -158,11 +158,6 @@ cutoffEllipseBounds(const HotSplat &g, u32 x0, u32 y0, u32 x1, u32 y1,
 void rasterizeTile(u32 tile, const ProjectedCloud &projected,
                    const TileBins &bins, const TileGrid &grid,
                    const RenderSettings &settings, RenderResult &result);
-
-/** Rasterise the whole frame single-threaded (tests, small images). */
-RenderResult rasterize(const ProjectedCloud &projected,
-                       const TileBins &bins, const TileGrid &grid,
-                       const RenderSettings &settings);
 
 /** Allocate a RenderResult of the grid's image size. */
 RenderResult makeRenderResult(const TileGrid &grid);

@@ -5,7 +5,7 @@
  * std::stable_sort by depth, and an AoS per-pixel rasteriser.
  *
  * This is NOT used by the production RenderPipeline. It exists as the
- * golden reference the parallel SoA pipeline is validated against
+ * golden reference the parallel pipeline is validated against
  * (tests require <= 1e-6 per-channel agreement) and as the baseline the
  * micro-benchmark measures speedup from.
  */
@@ -28,7 +28,10 @@ struct ReferenceTileLists
     u64 totalIntersections() const;
 };
 
-/** Serial projection, identical math to projectGaussians. */
+/**
+ * Serial projection, identical math to projectGaussians. It leaves
+ * Projected2D::powerSkip at its default, which skips nothing.
+ */
 ProjectedCloud projectGaussiansReference(const GaussianCloud &cloud,
                                          const Camera &camera,
                                          const RenderSettings &settings);

@@ -21,65 +21,15 @@ constexpr size_t kPoseBlock = 256;
 
 } // namespace
 
-/**
- * Reusable backward-pass working memory. One arena is checked out per
- * backward() call, so concurrent calls (tracking overlapped with async
- * mapping) each get their own; steady-state iterations re-use the
- * buffers instead of re-allocating workers x cloud-size accumulators
- * every call.
- */
-struct RenderPipeline::BackwardScratch
-{
-    std::vector<SplatGradRecord> records; //!< parallel to bins.indices
-    std::vector<Twist> poseBlocks;        //!< per-block pose partials
-};
-
 RenderPipeline::RenderPipeline(const RenderSettings &settings)
     : settings_(settings)
 {
-}
-
-RenderPipeline::~RenderPipeline() = default;
-
-RenderPipeline::RenderPipeline(const RenderPipeline &other)
-    : settings_(other.settings_), pool_(other.pool_)
-{
-}
-
-RenderPipeline &
-RenderPipeline::operator=(const RenderPipeline &other)
-{
-    settings_ = other.settings_;
-    pool_ = other.pool_;
-    return *this;
 }
 
 ThreadPool &
 RenderPipeline::pool() const
 {
     return pool_ ? *pool_ : globalPool();
-}
-
-std::unique_ptr<RenderPipeline::BackwardScratch>
-RenderPipeline::acquireScratch() const
-{
-    {
-        MutexLock lock(scratchMutex_);
-        if (!scratchFree_.empty()) {
-            auto scratch = std::move(scratchFree_.back());
-            scratchFree_.pop_back();
-            return scratch;
-        }
-    }
-    return std::make_unique<BackwardScratch>();
-}
-
-void
-RenderPipeline::releaseScratch(
-    std::unique_ptr<BackwardScratch> scratch) const
-{
-    MutexLock lock(scratchMutex_);
-    scratchFree_.push_back(std::move(scratch));
 }
 
 WorkloadSummary
@@ -106,7 +56,7 @@ RenderPipeline::forward(const GaussianCloud &cloud,
                         settings_.tileSize);
     ThreadPool &pool = this->pool();
     ctx.projected = projectGaussians(cloud, camera, settings_, pool);
-    ctx.bins = intersectTiles(ctx.projected, ctx.grid, pool);
+    ctx.bins = intersectTiles(ctx.projected, ctx.grid);
     sortTilesByDepth(ctx.bins, ctx.projected, pool);
 
     ctx.result = makeRenderResult(ctx.grid);
@@ -127,52 +77,58 @@ RenderPipeline::backward(const GaussianCloud &cloud,
                          BackwardResult &out) const
 {
     ThreadPool &pool = this->pool();
-    std::unique_ptr<BackwardScratch> scratch = acquireScratch();
     const size_t n = cloud.size();
+
+    // Working memory belongs to the calling thread, like the tile
+    // kernels' buffers: concurrent calls (tracking overlapped with
+    // async mapping) run on different threads, and a thread's next call
+    // reuses the capacity. The chunk lambdas run on pool workers too,
+    // so they must use these references, never the thread_local names.
+    thread_local std::vector<SplatGradRecord> tl_records;
+    thread_local std::vector<Twist> tl_pose_blocks;
+    std::vector<SplatGradRecord> &records = tl_records;
+    std::vector<Twist> &pose_blocks = tl_pose_blocks;
 
     // Step 4, splat-major: every tile writes its slice of the flat
     // per-slot record buffer — disjoint ranges, no accumulator copies
     // per worker. parallelForChunks handles the degenerate shapes
     // (1 tile, tiles < workers) that hand-rolled chunk math got wrong.
-    scratch->records.resize(ctx.bins.indices.size());
+    records.resize(ctx.bins.indices.size());
     pool.parallelForChunks(
         0, ctx.grid.tileCount(), [&](size_t lo, size_t hi) {
             for (size_t t = lo; t < hi; ++t)
                 backwardTileSplatMajor(static_cast<u32>(t), ctx.projected,
                                        ctx.bins, ctx.grid, settings_,
                                        ctx.result, dl_dcolor, dl_ddepth,
-                                       scratch->records.data());
+                                       records.data());
         });
 
     // Per-Gaussian reduction in flat-buffer order: deterministic for
     // any thread count (the CPU stand-in for the GMU's conflict-free
     // gradient aggregation).
     out.grad2d.resize(n);
-    gatherSplatGradients(ctx.bins, scratch->records, out.grad2d);
+    gatherSplatGradients(ctx.bins, records, out.grad2d);
 
     // Step 5: embarrassingly parallel over Gaussians; the pose twist is
     // reduced over fixed-size blocks in block order so the result does
     // not depend on the worker count.
     out.grads.resize(n);
     const size_t nblocks = (n + kPoseBlock - 1) / kPoseBlock;
-    scratch->poseBlocks.assign(nblocks, Twist{});
+    pose_blocks.assign(nblocks, Twist{});
     pool.parallelForChunks(0, nblocks, [&](size_t blo, size_t bhi) {
         for (size_t b = blo; b < bhi; ++b) {
             size_t k0 = b * kPoseBlock;
             size_t k1 = std::min(n, k0 + kPoseBlock);
-            Twist *pg =
-                compute_pose_grad ? &scratch->poseBlocks[b] : nullptr;
+            Twist *pg = compute_pose_grad ? &pose_blocks[b] : nullptr;
             for (size_t k = k0; k < k1; ++k)
                 preprocessBackwardOne(k, cloud, ctx.camera, out.grad2d,
                                       ctx.projected, out.grads, pg);
         }
     });
     Twist pose{};
-    for (const Twist &p : scratch->poseBlocks)
+    for (const Twist &p : pose_blocks)
         pose = pose + p;
     out.poseGrad = pose;
-
-    releaseScratch(std::move(scratch));
 }
 
 BackwardResult

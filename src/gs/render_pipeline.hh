@@ -9,12 +9,6 @@
 #ifndef RTGS_GS_RENDER_PIPELINE_HH
 #define RTGS_GS_RENDER_PIPELINE_HH
 
-#include <memory>
-#include <vector>
-
-#include "common/annotations.hh"
-#include "common/mutex.hh"
-
 #include "gs/backward.hh"
 
 namespace rtgs
@@ -65,21 +59,15 @@ struct ForwardContext
 };
 
 /**
- * Thread-parallel renderer. Logically stateless apart from settings —
- * the only mutable state is an internal pool of backward scratch
- * arenas, checked out under a mutex, so concurrent forward/backward
- * calls on one pipeline (tracking overlapped with async mapping) stay
- * safe while per-iteration allocation churn is gone.
+ * Thread-parallel renderer: a plain value of settings plus a pool
+ * pointer. It holds no mutable state; every working buffer belongs to
+ * the thread using it, so concurrent forward/backward calls on one
+ * pipeline (tracking overlapped with async mapping) stay safe.
  */
 class RenderPipeline
 {
   public:
     explicit RenderPipeline(const RenderSettings &settings = {});
-    ~RenderPipeline();
-
-    /** Copies share settings but never scratch arenas. */
-    RenderPipeline(const RenderPipeline &other);
-    RenderPipeline &operator=(const RenderPipeline &other);
 
     const RenderSettings &settings() const { return settings_; }
     RenderSettings &settings() { return settings_; }
@@ -137,19 +125,10 @@ class RenderPipeline
     void scaleBackward(BackwardResult &sum, Real s) const;
 
   private:
-    struct BackwardScratch;
-
     ThreadPool &pool() const;
-    std::unique_ptr<BackwardScratch> acquireScratch() const;
-    void releaseScratch(std::unique_ptr<BackwardScratch> scratch) const;
 
     RenderSettings settings_;
     ThreadPool *pool_ = nullptr;
-    /** Guards the backward scratch-arena free list; checked-out arenas
-     *  are exclusively owned by the borrowing backward() call. */
-    mutable Mutex scratchMutex_;
-    mutable std::vector<std::unique_ptr<BackwardScratch>> scratchFree_
-        RTGS_GUARDED_BY(scratchMutex_);
 };
 
 } // namespace rtgs::gs

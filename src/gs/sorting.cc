@@ -14,10 +14,9 @@ sortTilesByDepth(TileBins &bins, const ProjectedCloud &projected,
         return;
 
     // Tile ranges are disjoint, so one pass over tiles sorts them all.
-    const std::vector<Real> &depth = projected.soa.depth;
     pool.parallelForChunks(0, bins.tiles, [&](size_t lo, size_t hi) {
         // Packed keys sort ~1.25x faster than ids under a comparator
-        // that loads depth[] on every comparison.
+        // that loads both records' depths on every comparison.
         thread_local std::vector<u64> keys;
         for (u32 t = static_cast<u32>(lo); t < hi; ++t) {
             const u32 n = bins.count(t);
@@ -28,7 +27,7 @@ sortTilesByDepth(TileBins &bins, const ProjectedCloud &projected,
             for (u32 i = 0; i < n; ++i) {
                 u32 depth_bits;
                 static_assert(sizeof(depth_bits) == sizeof(Real));
-                std::memcpy(&depth_bits, &depth[ids[i]],
+                std::memcpy(&depth_bits, &projected[ids[i]].depth,
                             sizeof(depth_bits));
                 keys[i] = static_cast<u64>(depth_bits) << 32 | ids[i];
             }

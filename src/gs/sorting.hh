@@ -23,7 +23,7 @@ namespace rtgs::gs
 
 /**
  * Sort every tile range in place by ascending projected depth
- * (projected.soa.depth), ties by ascending Gaussian id, in parallel over
+ * (projected[id].depth), ties by ascending Gaussian id, in parallel over
  * tiles on `pool`. Binned depths must be positive: projectGaussians
  * keeps only depths in [nearClip, farClip], and nearClip is positive.
  */

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 
 namespace rtgs::gs
 {
@@ -67,8 +66,7 @@ footprintRect(const Projected2D &p, const TileGrid &grid)
 } // namespace
 
 TileBins
-intersectTiles(const ProjectedCloud &projected, const TileGrid &grid,
-               ThreadPool &pool)
+intersectTiles(const ProjectedCloud &projected, const TileGrid &grid)
 {
     TileBins bins;
     bins.tiles = grid.tileCount();
@@ -78,68 +76,45 @@ intersectTiles(const ProjectedCloud &projected, const TileGrid &grid,
     if (n == 0 || bins.tiles == 0)
         return bins;
 
-    // Fixed chunk boundaries (independent of pool scheduling) make the
-    // scatter stable: chunk c's slice of each tile's range starts right
-    // after the slices of chunks 0..c-1, so ids land in ascending
-    // Gaussian order no matter which thread runs which chunk.
-    const size_t nchunks =
-        std::min<size_t>(n, (pool.size() + 1) * 4);
-    const size_t chunk = (n + nchunks - 1) / nchunks;
+    auto tile_of = [&grid](u32 tx, u32 ty) {
+        return static_cast<size_t>(ty) * grid.tilesX + tx;
+    };
 
+    // Pass 1: each Gaussian's footprint rect, counted into the slot one
+    // past its tile's (offsets[t + 1] holds tile t's count).
     std::vector<FootprintRect> rects(n);
-    std::vector<std::vector<u32>> hist(
-        nchunks, std::vector<u32>(bins.tiles, 0));
-
-    // Pass 1 (parallel over Gaussians): footprint rect + per-tile counts.
-    pool.parallelFor(0, nchunks, [&](size_t c) {
-        size_t lo = c * chunk;
-        size_t hi = std::min(n, lo + chunk);
-        std::vector<u32> &h = hist[c];
-        for (size_t k = lo; k < hi; ++k) {
-            FootprintRect r = footprintRect(projected[k], grid);
-            rects[k] = r;
-            if (!r.valid)
-                continue;
-            for (u32 ty = r.ty0; ty <= r.ty1; ++ty)
-                for (u32 tx = r.tx0; tx <= r.tx1; ++tx)
-                    ++h[static_cast<size_t>(ty) * grid.tilesX + tx];
-        }
-    });
-
-    // Exclusive prefix sum over tiles -> offsets; then turn each chunk's
-    // histogram into its write cursors within the tile ranges.
-    u64 total = 0;
-    for (u32 t = 0; t < bins.tiles; ++t) {
-        bins.offsets[t] = static_cast<u32>(total);
-        for (size_t c = 0; c < nchunks; ++c) {
-            u32 cnt = hist[c][t];
-            hist[c][t] = static_cast<u32>(total);
-            total += cnt;
-        }
+    for (size_t k = 0; k < n; ++k) {
+        const FootprintRect r = footprintRect(projected[k], grid);
+        rects[k] = r;
+        if (!r.valid)
+            continue;
+        for (u32 ty = r.ty0; ty <= r.ty1; ++ty)
+            for (u32 tx = r.tx0; tx <= r.tx1; ++tx)
+                ++bins.offsets[tile_of(tx, ty) + 1];
     }
-    rtgs_assert(total <= 0xFFFFFFFFull);
-    bins.offsets[bins.tiles] = static_cast<u32>(total);
 
+    // Prefix sum in 64 bits, so a pair count past u32 asserts instead
+    // of wrapping the offsets.
+    u64 total = 0;
+    for (u32 t = 1; t <= bins.tiles; ++t) {
+        total += bins.offsets[t];
+        rtgs_assert(total <= 0xFFFFFFFFull);
+        bins.offsets[t] = static_cast<u32>(total);
+    }
+
+    // Pass 2: scatter ids in ascending Gaussian order, so every tile's
+    // range lists its ids in ascending order.
     bins.indices.resize(total);
-
-    // Pass 2 (parallel over Gaussians): scatter ids into tile ranges.
-    pool.parallelFor(0, nchunks, [&](size_t c) {
-        size_t lo = c * chunk;
-        size_t hi = std::min(n, lo + chunk);
-        std::vector<u32> &cursor = hist[c];
-        for (size_t k = lo; k < hi; ++k) {
-            const FootprintRect &r = rects[k];
-            if (!r.valid)
-                continue;
-            for (u32 ty = r.ty0; ty <= r.ty1; ++ty) {
-                for (u32 tx = r.tx0; tx <= r.tx1; ++tx) {
-                    u32 tile =
-                        static_cast<u32>(ty) * grid.tilesX + tx;
-                    bins.indices[cursor[tile]++] = static_cast<u32>(k);
-                }
-            }
-        }
-    });
+    std::vector<u32> cursor(bins.offsets.begin(), bins.offsets.end() - 1);
+    for (size_t k = 0; k < n; ++k) {
+        const FootprintRect &r = rects[k];
+        if (!r.valid)
+            continue;
+        for (u32 ty = r.ty0; ty <= r.ty1; ++ty)
+            for (u32 tx = r.tx0; tx <= r.tx1; ++tx)
+                bins.indices[cursor[tile_of(tx, ty)]++] =
+                    static_cast<u32>(k);
+    }
     return bins;
 }
 

@@ -3,12 +3,12 @@
  * Step 1-2 (Tile intersection): assign projected 2D Gaussians to the
  * 16x16-pixel tiles their footprint overlaps.
  *
- * Binning mirrors the CUDA reference pipeline in portable C++: a
- * parallel per-Gaussian count pass, an exclusive prefix sum over tile
- * offsets, and a parallel stable scatter into one flat index buffer.
- * Per-tile std::vector lists (and their per-frame allocation storm) are
- * gone; every consumer reads a contiguous [offsets[t], offsets[t+1])
- * range of the flat array.
+ * Binning runs on the calling thread in three steps: count each
+ * Gaussian's tiles, take an exclusive prefix sum over the counts, and
+ * scatter the ids in ascending Gaussian order into one flat index
+ * buffer. At SLAM sizes (a few thousand Gaussian-tile pairs per view) a
+ * parallel split costs more in dispatch than it saves. Every consumer
+ * reads a contiguous [offsets[t], offsets[t+1]) range of the flat array.
  */
 
 #ifndef RTGS_GS_TILING_HH
@@ -74,13 +74,12 @@ struct TileBins
 };
 
 /**
- * Assign each valid projected Gaussian to all tiles it overlaps.
- * Parallel over Gaussians on `pool`; the scatter is stable, so each
- * tile's range lists ids in ascending Gaussian order.
+ * Assign each valid projected Gaussian to all tiles it overlaps, on the
+ * calling thread. Gaussians are scattered in ascending id order, so
+ * each tile's range lists its ids in ascending order.
  */
 TileBins intersectTiles(const ProjectedCloud &projected,
-                        const TileGrid &grid,
-                        ThreadPool &pool = globalPool());
+                        const TileGrid &grid);
 
 } // namespace rtgs::gs
 

@@ -24,7 +24,7 @@
  *    instead of parking its worker; the running waiter, or the next
  *    push, carries on with the queue.
  *  - A job's multi-view steps render on its own thread; nested
- *    parallelFor calls from a pool worker run inline.
+ *    parallelForChunks calls from a pool worker run inline.
  *  - drain() returns once every job submitted so far has finished (or
  *    been dropped); the destructor also waits for the posted drain
  *    task to let go of the worker.

@@ -559,7 +559,7 @@ class SlamSystem
     // --- Immutable after construction / internally synchronized.
     SlamConfig config_;
     Intrinsics intrinsics_;
-    /** Internally synchronized (scratch-arena free list). */
+    /** A plain value; every render buffer belongs to its thread. */
     gs::RenderPipeline pipeline_;
     Tracker tracker_;
     std::unique_ptr<KeyframePolicy> keyframePolicy_;

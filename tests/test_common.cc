@@ -197,48 +197,28 @@ TEST(TablePrinter, NumFormatsPrecision)
     EXPECT_EQ(TablePrinter::num(2.0, 0), "2");
 }
 
-TEST(ThreadPool, ParallelForCoversRange)
-{
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(1000);
-    pool.parallelFor(0, hits.size(), [&](size_t i) { hits[i]++; });
-    for (const auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPool, EmptyRangeIsNoop)
 {
     ThreadPool pool(2);
     std::atomic<int> calls{0};
-    pool.parallelFor(5, 5, [&](size_t) { calls++; });
+    pool.parallelForChunks(5, 5, [&](size_t, size_t) { calls++; });
     EXPECT_EQ(calls.load(), 0);
-}
-
-TEST(ThreadPool, NestedUseFromResults)
-{
-    // Sum of squares computed in parallel equals the closed form.
-    ThreadPool pool(3);
-    std::vector<long> sq(2001);
-    pool.parallelFor(0, sq.size(), [&](size_t i) {
-        sq[i] = static_cast<long>(i) * static_cast<long>(i);
-    });
-    long total = 0;
-    for (long v : sq)
-        total += v;
-    long n = 2000;
-    EXPECT_EQ(total, n * (n + 1) * (2 * n + 1) / 6);
 }
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
 {
-    // A worker calling parallelFor used to block on chunks that only
-    // workers could drain (it *is* the drain); nested calls must run
-    // inline and still cover the full range exactly once.
+    // A worker calling parallelForChunks used to block on chunks that
+    // only workers could drain (it *is* the drain); nested calls must
+    // run inline and still cover the full range exactly once.
     ThreadPool pool(2);
     std::vector<std::atomic<int>> hits(64 * 16);
-    pool.parallelFor(0, 64, [&](size_t i) {
-        pool.parallelFor(0, 16,
-                         [&](size_t j) { hits[i * 16 + j]++; });
+    pool.parallelForChunks(0, 64, [&](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i) {
+            pool.parallelForChunks(0, 16, [&](size_t jlo, size_t jhi) {
+                for (size_t j = jlo; j < jhi; ++j)
+                    hits[i * 16 + j]++;
+            });
+        }
     });
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
@@ -264,7 +244,7 @@ TEST(ThreadPool, OnWorkerThreadDetection)
     ThreadPool pool(2), other(1);
     EXPECT_FALSE(pool.onWorkerThread());
     std::atomic<int> cross_claims{0};
-    pool.parallelFor(0, 64, [&](size_t) {
+    pool.parallelForChunks(0, 64, [&](size_t, size_t) {
         if (other.onWorkerThread())
             cross_claims++;
     });

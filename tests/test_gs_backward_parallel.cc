@@ -7,12 +7,16 @@
  * tiles-per-worker chunk math used to mishandle. BackwardDeterminism
  * pins the fixed reduction order: the whole backward result — and the
  * pose twist in particular — must be bitwise identical across 1/2/4
- * worker threads. Both suites run under the ThreadSanitizer CI job.
+ * worker threads, and across calls that overlap on one pipeline. Both
+ * suites run under the ThreadSanitizer CI job.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
@@ -266,8 +270,9 @@ TEST(BackwardDeterminism, PoseGradBitwiseAcrossThreadCounts)
 
 TEST(BackwardDeterminism, RepeatedCallsReuseScratchIdentically)
 {
-    // Back-to-back backward calls on one pipeline exercise the scratch
-    // arena reuse path; outputs must be identical to the first call's.
+    // Back-to-back backward calls on one pipeline reuse the calling
+    // thread's working buffers; outputs must be identical to the first
+    // call's.
     GaussianCloud cloud = randomCloud(31, 150);
     Camera camera(Intrinsics::fromFov(Real(1.2), 64, 48),
                   SE3::identity());
@@ -283,6 +288,67 @@ TEST(BackwardDeterminism, RepeatedCallsReuseScratchIdentically)
     for (int it = 0; it < 3; ++it)
         pipe.backward(cloud, ctx, adj, &adj_depth, true, reused);
     expectBitwiseEqual(first, reused, cloud.size(), "fresh vs reused");
+}
+
+TEST(BackwardDeterminism, ConcurrentCallsOnOnePipelineMatchSerial)
+{
+    // Tracking and async mapping render through one pipeline at the
+    // same time. Two threads share a pipeline (and its pool), each
+    // rendering its own view and running backward repeatedly; a call
+    // that wrote into the other thread's working memory would change
+    // its result (or trip TSan). Every result must equal the same call
+    // run alone.
+    GaussianCloud cloud = randomCloud(41, 400);
+    const Camera cameras[2] = {
+        Camera(Intrinsics::fromFov(Real(1.2), 64, 48), SE3::identity()),
+        Camera(Intrinsics::fromFov(Real(1.25), 96, 64),
+               SE3::lookAt({0.2f, -0.1f, -0.3f}, {0, 0, 2.5f}))};
+    ImageRGB adj[2];
+    ImageF adj_depth[2];
+    for (int v = 0; v < 2; ++v)
+        makeAdjoints(cameras[v].intr, adj[v], adj_depth[v]);
+
+    ThreadPool pool(2);
+    RenderPipeline pipe;
+    pipe.setPool(&pool);
+
+    BackwardResult serial[2];
+    size_t pairs[2];
+    for (int v = 0; v < 2; ++v) {
+        ForwardContext ctx = pipe.forward(cloud, cameras[v]);
+        serial[v] =
+            pipe.backward(cloud, ctx, adj[v], &adj_depth[v], true);
+        pairs[v] = ctx.bins.indices.size();
+        EXPECT_GT(serial[v].poseGrad.norm(), 0);
+    }
+    // Different record counts: a record buffer shared by the two calls
+    // would be resized and overwritten under the other.
+    EXPECT_NE(pairs[0], pairs[1]);
+
+    constexpr int kCalls = 4;
+    std::vector<BackwardResult> concurrent[2];
+    std::atomic<int> ready{0};
+    auto run_view = [&](int v) {
+        ++ready;
+        while (ready.load() < 2)
+            std::this_thread::yield();
+        ForwardContext ctx = pipe.forward(cloud, cameras[v]);
+        BackwardResult out;
+        for (int call = 0; call < kCalls; ++call) {
+            pipe.backward(cloud, ctx, adj[v], &adj_depth[v], true, out);
+            concurrent[v].push_back(out);
+        }
+    };
+    std::thread a(run_view, 0), b(run_view, 1);
+    a.join();
+    b.join();
+
+    for (int v = 0; v < 2; ++v) {
+        ASSERT_EQ(concurrent[v].size(), static_cast<size_t>(kCalls));
+        for (const BackwardResult &r : concurrent[v])
+            expectBitwiseEqual(serial[v], r, cloud.size(),
+                               v == 0 ? "view 0" : "view 1");
+    }
 }
 
 } // namespace rtgs::gs

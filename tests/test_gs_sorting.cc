@@ -60,7 +60,6 @@ quantisedScene(u64 seed, u32 levels)
 
     ProjectedCloud cloud;
     cloud.items.resize(kinds.size());
-    cloud.soa.resize(kinds.size());
     for (size_t k = 0; k < kinds.size(); ++k) {
         Projected2D &p = cloud.items[k];
         switch (kinds[k]) {
@@ -84,7 +83,6 @@ quantisedScene(u64 seed, u32 levels)
         }
         p.depth = drawDepth(rng, levels);
         p.valid = true;
-        cloud.soa.depth[k] = p.depth;
     }
     return cloud;
 }
@@ -119,7 +117,7 @@ TEST(TileDepthSort, MatchesStableReferenceOnEveryWorkerCount)
                     intersectTilesReference(cloud, grid);
                 sortTilesByDepthReference(ref, cloud);
 
-                TileBins bins = intersectTiles(cloud, grid, pool);
+                TileBins bins = intersectTiles(cloud, grid);
                 ASSERT_EQ(bins.count(0), 300u);
                 ASSERT_EQ(bins.count(1), 1u);
                 for (u32 t = 2; t < grid.tilesX; ++t)
