@@ -4,8 +4,8 @@
  * RTGS pruning against the more precise LightGaussian/FlashGS scoring
  * (which pay extra scoring passes), (b) cumulative drift over the
  * sequence for increasing pruning ratios, and (c) the
- * approximate-computing ladder ablation (pipeline presets precise /
- * fast / fastest_approx; see docs/APPROXIMATION.md) with per-rung
+ * approximate-computing ladder ablation (pipeline presets precise and
+ * fastest_approx; see docs/APPROXIMATION.md) with per-rung
  * wall-clock, PSNR and ATE written to
  * BENCH_fig13_quality_tradeoff.json (override with RTGS_FIG13_JSON).
  *
@@ -157,7 +157,7 @@ main()
     TablePrinter ladder_table({"preset", "wall (s)", "PSNR (dB)",
                                "final ATE (cm)", "kernels"});
     ladder_table.setTitle("\n(c) approximation ladder "
-                          "(precise / fast / fastest_approx)");
+                          "(precise / fastest_approx)");
 
     struct RungResult
     {
@@ -167,8 +167,7 @@ main()
     };
     std::vector<RungResult> rungs;
     const gs::PipelinePreset presets[] = {
-        gs::PipelinePreset::Precise, gs::PipelinePreset::Fast,
-        gs::PipelinePreset::FastestApprox};
+        gs::PipelinePreset::Precise, gs::PipelinePreset::FastestApprox};
     for (gs::PipelinePreset preset : presets) {
         data::SyntheticDataset ds(spec);
         core::RtgsSlamConfig cfg = benchConfig(slam::BaseAlgorithm::MonoGs);
@@ -194,7 +193,7 @@ main()
             identicalTrajectories(run.trajectory, rungs[0].trajectory);
     }
     for (size_t i = 0; i < rungs.size(); ++i) {
-        const gs::RowKernels &kern = gs::selectRowKernels(
+        const gs::SplatKernels &kern = gs::selectSplatKernels(
             presets[i], activeSimdLevel());
         ladder_table.addRow({rungs[i].name,
                              TablePrinter::num(rungs[i].wall, 3),
@@ -203,7 +202,7 @@ main()
                              kern.name});
     }
     ladder_table.print();
-    double psnr_drop = rungs[0].psnr - rungs[2].psnr;
+    double psnr_drop = rungs[0].psnr - rungs[1].psnr;
     std::printf("\nprecise byte-identical to default pipeline: %s; "
                 "fastest_approx PSNR drop %.3f dB (gate <= 0.3)\n",
                 precise_identical ? "yes" : "NO", psnr_drop);

@@ -1,5 +1,7 @@
 #include "common/cpu_features.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
@@ -12,6 +14,9 @@ namespace rtgs
 
 namespace
 {
+
+/** ScopedSimdLevel's level, or -1 when none is alive. */
+std::atomic<int> levelOverride{-1};
 
 CpuFeatures
 queryCpuFeatures()
@@ -64,8 +69,9 @@ SimdLevel
 detectedSimdLevel()
 {
     const CpuFeatures &f = cpuFeatures();
-    // The AVX2 kernels use FMA throughout; both must be present (and
-    // the OS must context-switch YMM state) to dispatch above scalar.
+    // The AVX2 TU is built with FMA (the polynomial exp uses it); both
+    // must be present (and the OS must context-switch YMM state) to
+    // dispatch above scalar.
     if (f.avx2 && f.fma && f.osAvx)
         return SimdLevel::Avx2;
     return SimdLevel::Scalar;
@@ -75,7 +81,19 @@ SimdLevel
 activeSimdLevel()
 {
     static const SimdLevel level = queryActiveLevel();
-    return level;
+    const int forced = levelOverride.load(std::memory_order_relaxed);
+    return forced < 0 ? level : static_cast<SimdLevel>(forced);
+}
+
+ScopedSimdLevel::ScopedSimdLevel(SimdLevel level)
+    : previous_(levelOverride.exchange(
+          static_cast<int>(std::min(level, detectedSimdLevel()))))
+{
+}
+
+ScopedSimdLevel::~ScopedSimdLevel()
+{
+    levelOverride.store(previous_);
 }
 
 const char *

@@ -33,8 +33,9 @@ struct CpuFeatures
 const CpuFeatures &cpuFeatures();
 
 /**
- * SIMD dispatch ladder. Avx2 implies FMA (the kernels fuse the conic
- * quadratic form); a CPU with AVX2 but no FMA dispatches Scalar.
+ * SIMD dispatch ladder. Avx2 implies FMA (the `fastest_approx`
+ * polynomial exp fuses its Horner steps; the exact kernels use none);
+ * a CPU with AVX2 but no FMA dispatches Scalar.
  */
 enum class SimdLevel : u8
 {
@@ -54,6 +55,25 @@ SimdLevel activeSimdLevel();
 
 /** Human-readable level name ("scalar", "avx2") for logs and JSON. */
 const char *simdLevelName(SimdLevel level);
+
+/**
+ * Test hook: while alive, activeSimdLevel() returns `level` capped at
+ * detectedSimdLevel() (not at RTGS_SIMD), so one test process can run
+ * the same pipeline under both dispatch levels. Scopes nest; no render
+ * may run on another thread while one begins or ends.
+ */
+class ScopedSimdLevel
+{
+  public:
+    explicit ScopedSimdLevel(SimdLevel level);
+    ~ScopedSimdLevel();
+
+    ScopedSimdLevel(const ScopedSimdLevel &) = delete;
+    ScopedSimdLevel &operator=(const ScopedSimdLevel &) = delete;
+
+  private:
+    int previous_;
+};
 
 } // namespace rtgs
 

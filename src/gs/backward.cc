@@ -113,7 +113,7 @@ backwardTile(u32 tile, const ProjectedCloud &projected,
                 // Below alphaMin for certain: never blended forward.
                 if (power < g.powerSkip)
                     continue;
-                Real gval = std::exp(power);
+                Real gval = expExact(power);
                 Real raw_alpha = g.opacity * gval;
                 bool clamped = raw_alpha > settings.alphaMax;
                 Real alpha = clamped ? settings.alphaMax : raw_alpha;
@@ -208,24 +208,26 @@ backwardTileSplatMajor(u32 tile, const ProjectedCloud &projected,
     // state is SoA — T (rear transmittance), acc (rear colour/depth
     // pre-dotted with the adjoints), bgT (finalT * background.dL/dC),
     // the four adjoints, and ce (forward nContrib; 0 marks a
-    // zero-adjoint pixel) — so the AVX2 rungs load 8 contiguous lanes
-    // per field; the per-pixel arithmetic lives in the preset-selected
-    // row kernel (gs/row_kernels.hh), whose `precise` scalar form
-    // replicates the pre-ladder loop operation for operation.
+    // zero-adjoint pixel) — padded by kTileStatePad like the forward's;
+    // the per-pixel arithmetic of one splat lives in the
+    // preset-selected splat kernel (gs/row_kernels.hh).
     const u32 tw = x1 - x0, th = y1 - y0;
     const u32 n_px = tw * th;
+    const size_t n_st = size_t(n_px) + kTileStatePad;
     static thread_local std::vector<Real> bw_T, bw_acc, bw_bgT;
     static thread_local std::vector<Real> bw_dlR, bw_dlG, bw_dlB, bw_dlD;
     static thread_local std::vector<u32> bw_ce;
     static thread_local std::vector<u32> row_ce;
-    bw_T.resize(n_px);
-    bw_acc.resize(n_px);
-    bw_bgT.resize(n_px);
-    bw_dlR.resize(n_px);
-    bw_dlG.resize(n_px);
-    bw_dlB.resize(n_px);
-    bw_dlD.resize(n_px);
-    bw_ce.resize(n_px);
+    // The padding only has to hold initialised values: the AVX2 body
+    // reads it in lanes it then masks out.
+    bw_T.resize(n_st);
+    bw_acc.resize(n_st);
+    bw_bgT.resize(n_st);
+    bw_dlR.resize(n_st);
+    bw_dlG.resize(n_st);
+    bw_dlB.resize(n_st);
+    bw_dlD.resize(n_st);
+    bw_ce.resize(n_st);
     row_ce.assign(th, 0);
     u32 cap = 0;
     for (u32 py = y0; py < y1; ++py) {
@@ -258,50 +260,35 @@ backwardTileSplatMajor(u32 tile, const ProjectedCloud &projected,
 
     const std::vector<HotSplat> &splats =
         gatherTileSplats(projected, bins, tile);
+    const BackwardTileState st{bw_T.data(),   bw_acc.data(), bw_bgT.data(),
+                               bw_dlR.data(), bw_dlG.data(), bw_dlB.data(),
+                               bw_dlD.data(), bw_ce.data()};
 
-    static thread_local std::vector<Real> scratch;
-    scratch.resize(2 * static_cast<size_t>(tw));
-
-    const RowKernels &kern = selectRowKernels(settings.pipeline);
-    const RowKernelCtx ctx{settings.alphaMin, settings.alphaMax,
-                           settings.transmittanceEps};
+    const SplatKernels &kern = selectSplatKernels(settings.pipeline);
+    const SplatKernelCtx ctx{settings.alphaMin, settings.alphaMax,
+                             settings.transmittanceEps};
 
     for (u32 s = cap; s-- > 0;) {
         const HotSplat &g = splats[s];
-        u32 sx0, sy0, sx1, sy1;
-        if (!cutoffEllipseBounds(g, x0, y0, x1, y1, sx0, sy0, sx1, sy1)) {
+        SplatFootprint fp{0, 0, 0, 0, x0, y0, tw, s};
+        if (!cutoffEllipseBounds(g, x0, y0, x1, y1, fp.sx0, fp.sy0, fp.sx1,
+                                 fp.sy1)) {
             recs[s] = SplatGradRecord{}; // below alphaMin everywhere
             continue;
         }
 
-        // The whole splat's gradient lives in the accumulator until the
-        // bbox walk finishes: one store per (tile, splat) instead of
-        // one scatter per fragment. The mean/conic gradients accumulate
-        // as raw moment sums of dl_dpower (s_x = sum dx dp, s_xx =
-        // sum dx^2 dp, ...); the constant conic factors and the -1/2
-        // are applied once per splat when the record is written — the
-        // distributed form of the reference's per-fragment expressions,
-        // within this kernel's documented tolerance.
-        BackwardSplatAccum a;
-
-        const Real cxx = g.cxx, cxy = g.cxy, cyy = g.cyy;
-        const u32 w_row = sx1 - sx0;
-        for (u32 py = sy0; py < sy1; ++py) {
-            if (s >= row_ce[py - y0])
-                continue; // every pixel of the row terminated earlier
-            const Real dy = (static_cast<Real>(py) + Real(0.5)) - g.my;
-            const size_t off = (py - y0) * tw + (sx0 - x0);
-            const BackwardRowState px{
-                bw_T.data() + off,   bw_acc.data() + off,
-                bw_bgT.data() + off, bw_dlR.data() + off,
-                bw_dlG.data() + off, bw_dlB.data() + off,
-                bw_dlD.data() + off, bw_ce.data() + off};
-            kern.backwardRow(g, dy, sx0, w_row, s, ctx, px, a,
-                             scratch.data());
-        }
-
-        recs[s] = SplatGradRecord{cxx * a.sX + cxy * a.sY,
-                                  cxy * a.sX + cyy * a.sY,
+        // The whole splat's gradient lives in the kernel's accumulators
+        // until its footprint is walked: one store per (tile, splat)
+        // instead of one scatter per fragment. The mean/conic gradients
+        // accumulate as raw moment sums of dl_dpower (s_x = sum dx dp,
+        // s_xx = sum dx^2 dp, ...); the constant conic factors and the
+        // -1/2 are applied once per splat when the record is written —
+        // the distributed form of the reference's per-fragment
+        // expressions, within this kernel's documented tolerance.
+        const BackwardSplatAccum a = kern.backwardSplat(g, fp, ctx, st,
+                                                        row_ce.data());
+        recs[s] = SplatGradRecord{g.cxx * a.sX + g.cxy * a.sY,
+                                  g.cxy * a.sX + g.cyy * a.sY,
                                   Real(-0.5) * a.sXX,
                                   -a.sXY,
                                   Real(-0.5) * a.sYY,

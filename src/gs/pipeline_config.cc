@@ -7,8 +7,6 @@ const char *
 pipelinePresetName(PipelinePreset preset)
 {
     switch (preset) {
-      case PipelinePreset::Fast:
-        return "fast";
       case PipelinePreset::FastestApprox:
         return "fastest_approx";
       case PipelinePreset::Precise:

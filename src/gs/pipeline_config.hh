@@ -5,19 +5,19 @@
  *
  * Rungs (see docs/APPROXIMATION.md for measured numbers):
  *
- *   preset          exp eval          storage        contract
- *   --------------  ----------------  -------------  --------------------
- *   precise         scalar std::exp   fp32           byte-identical to the
- *                                                    serial reference
- *   fast            SIMD faithful exp fp32           <= 1 ulp exp; fp32
- *                                                    blend, reassociated
- *   fastest_approx  SIMD poly exp     fp16 colour/   <= 16 ulp exp; fp32
- *                                     opacity        accumulation
+ *   preset          exp eval             storage        contract
+ *   --------------  -------------------  -------------  ------------------
+ *   precise         exact exp (expExact) fp32           byte-identical to
+ *                   in the AVX2 or                      the serial
+ *                   scalar splat kernel                 reference under
+ *                                                       either dispatch
+ *   fastest_approx  polynomial exp       fp16 colour/   <= 16 ulp exp; fp32
+ *                                        opacity        accumulation
  *
  * The invariants every rung keeps: blending, gradients and Adam moments
  * accumulate in fp32 (narrowing happens only at column storage), and
  * every rung is bitwise deterministic for a fixed preset + worker count
- * (and across 1/2/4 workers, since per-(tile,row) writes are disjoint).
+ * (and across 1/2/4 workers, since per-tile writes are disjoint).
  */
 
 #ifndef RTGS_GS_PIPELINE_CONFIG_HH
@@ -32,9 +32,8 @@ namespace rtgs::gs
 /** Rungs of the precision/SIMD ladder, slowest-and-exact first. */
 enum class PipelinePreset : u8
 {
-    Precise = 0,       //!< scalar kernels, bit-exact vs the reference
-    Fast = 1,          //!< SIMD kernels, faithfully-rounded exp, fp32
-    FastestApprox = 2, //!< SIMD kernels, polynomial exp, fp16 storage
+    Precise = 0,       //!< exact exp, bit-exact vs the reference
+    FastestApprox = 1, //!< polynomial exp, fp16 storage
 };
 
 /**
@@ -47,7 +46,7 @@ struct PipelineConfig
     PipelinePreset preset = PipelinePreset::Precise;
 };
 
-/** Stable name for JSON/CLI: "precise", "fast", "fastest_approx". */
+/** Stable name for JSON/CLI: "precise", "fastest_approx". */
 const char *pipelinePresetName(PipelinePreset preset);
 
 /**

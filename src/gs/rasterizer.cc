@@ -100,50 +100,38 @@ rasterizeTile(u32 tile, const ProjectedCloud &projected,
     // each splat's sub-alphaMin cutoff ellipse skips the fragments the
     // pixel-major loop rejects one by one; blend order per pixel (and
     // hence the image) is unchanged. The state is SoA (~8 KB for a
-    // 16x16 tile, comfortably L1-resident) so the AVX2 rungs load 8
-    // contiguous lanes per field; the per-pixel arithmetic itself lives
-    // in the preset-selected row kernel (gs/row_kernels.hh) — the
-    // `precise` rung's scalar kernel replicates the pre-ladder loop
-    // operation for operation, so this driver is layout-neutral.
+    // 16x16 tile, comfortably L1-resident, padded by kTileStatePad for
+    // the AVX2 body's whole-step loads) and the per-pixel arithmetic of
+    // one splat lives in the preset-selected splat kernel
+    // (gs/row_kernels.hh); under `precise` every dispatch gives the
+    // serial reference's bytes.
     const u32 tw = x1 - x0, th = y1 - y0;
     const u32 n_px = tw * th;
+    const size_t n_st = size_t(n_px) + kTileStatePad;
     static thread_local std::vector<Real> st_T, st_r, st_g, st_b, st_d;
     static thread_local std::vector<u32> st_blend, st_term;
-    st_T.assign(n_px, Real(1));
-    st_r.assign(n_px, Real(0));
-    st_g.assign(n_px, Real(0));
-    st_b.assign(n_px, Real(0));
-    st_d.assign(n_px, Real(0));
-    st_blend.assign(n_px, 0);
-    st_term.assign(n_px, kRowNotTerminated);
+    st_T.assign(n_st, Real(1));
+    st_r.assign(n_st, Real(0));
+    st_g.assign(n_st, Real(0));
+    st_b.assign(n_st, Real(0));
+    st_d.assign(n_st, Real(0));
+    st_blend.assign(n_st, 0);
+    st_term.assign(n_st, kRowNotTerminated);
+    const ForwardTileState st{st_T.data(), st_r.data(), st_g.data(),
+                              st_b.data(), st_d.data(), st_blend.data(),
+                              st_term.data()};
     u32 alive = n_px;
 
-    static thread_local std::vector<Real> scratch;
-    scratch.resize(2 * static_cast<size_t>(tw));
-
-    const RowKernels &kern = selectRowKernels(settings.pipeline);
-    const RowKernelCtx ctx{alpha_min, alpha_max, t_eps};
+    const SplatKernels &kern = selectSplatKernels(settings.pipeline);
+    const SplatKernelCtx ctx{alpha_min, alpha_max, t_eps};
 
     for (u32 s = 0; s < n_splats && alive > 0; ++s) {
         const HotSplat &g = splats[s];
-
-        u32 sx0, sy0, sx1, sy1;
-        if (!cutoffEllipseBounds(g, x0, y0, x1, y1, sx0, sy0, sx1, sy1))
+        SplatFootprint fp{0, 0, 0, 0, x0, y0, tw, s};
+        if (!cutoffEllipseBounds(g, x0, y0, x1, y1, fp.sx0, fp.sy0, fp.sx1,
+                                 fp.sy1))
             continue; // whole splat below alphaMin everywhere
-
-        const u32 w_row = sx1 - sx0;
-        for (u32 py = sy0; py < sy1; ++py) {
-            const Real dy =
-                (static_cast<Real>(py) + Real(0.5)) - g.my;
-            const size_t off = (py - y0) * tw + (sx0 - x0);
-            const ForwardRowState px{
-                st_T.data() + off,   st_r.data() + off,
-                st_g.data() + off,   st_b.data() + off,
-                st_d.data() + off,   st_blend.data() + off,
-                st_term.data() + off};
-            alive -= kern.forwardRow(g, dy, sx0, w_row, s, ctx, px,
-                                     scratch.data());
-        }
+        alive -= kern.forwardSplat(g, fp, ctx, st);
     }
 
     for (u32 py = y0; py < y1; ++py) {

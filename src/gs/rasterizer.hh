@@ -73,40 +73,6 @@ const std::vector<HotSplat> &gatherTileSplats(
     const ProjectedCloud &projected, const TileBins &bins, u32 tile);
 
 /**
- * Evaluate splat g's Gaussian exponent over one pixel row: pixels
- * sx0..sx0+n-1 at row centre offset dy = (py + 0.5) - g.my, written to
- * power_row (and the pixel-centre x offsets to dx_row when non-null).
- * Shared by the forward and backward tile kernels so both see
- * bit-identical power values — the blended-set agreement the backward
- * recurrence depends on is enforced by construction, not convention.
- * The loop is branch-free per lane and uses the exact scalar operation
- * sequence (convert, +0.5, subtract, quadratic form, * -0.5; no FMA on
- * baseline x86-64), so it vectorises without changing results.
- */
-inline void
-evalPowerRow(const HotSplat &g, Real dy, u32 sx0, u32 n,
-             Real *__restrict power_row, Real *__restrict dx_row)
-{
-    const Real cxx = g.cxx, cxy = g.cxy, cyy = g.cyy;
-    if (dx_row) {
-        for (u32 i = 0; i < n; ++i) {
-            Real dx = (static_cast<Real>(sx0 + i) + Real(0.5)) - g.mx;
-            dx_row[i] = dx;
-            power_row[i] = Real(-0.5) * (cxx * dx * dx +
-                                         Real(2) * cxy * dx * dy +
-                                         cyy * dy * dy);
-        }
-    } else {
-        for (u32 i = 0; i < n; ++i) {
-            Real dx = (static_cast<Real>(sx0 + i) + Real(0.5)) - g.mx;
-            power_row[i] = Real(-0.5) * (cxx * dx * dx +
-                                         Real(2) * cxy * dx * dy +
-                                         cyy * dy * dy);
-        }
-    }
-}
-
-/**
  * Clip splat g's cutoff-ellipse bounding box — the pixel region where
  * alpha can still reach alphaMin, i.e. d^T conic d <= -2 powerSkip — to
  * the tile rect [x0,x1) x [y0,y1), writing the result to [sx0,sx1) x

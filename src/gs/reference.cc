@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "gs/row_kernels.hh"
+
 namespace rtgs::gs
 {
 
@@ -172,7 +174,7 @@ rasterizeTileReference(u32 tile, const ProjectedCloud &projected,
                 if (power > 0)
                     continue;
                 Real alpha = std::min(settings.alphaMax,
-                                      g.opacity * std::exp(power));
+                                      g.opacity * expExact(power));
                 if (alpha < settings.alphaMin)
                     continue;
 

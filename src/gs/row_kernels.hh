@@ -1,27 +1,31 @@
 /**
  * @file
- * Width-agnostic row kernels for the splat-major forward blend and
- * backward gradient walks, plus the runtime dispatcher that picks an
- * implementation per (preset, SIMD level).
+ * Splat kernels for the splat-major forward blend and backward
+ * gradient walks, the exps they call, and the runtime dispatcher that
+ * picks an implementation per (preset, SIMD level).
  *
- * A "row kernel" processes one pixel row of one splat's cutoff-ellipse
- * bounding box against SoA per-pixel state. The tile drivers
+ * A splat kernel processes one splat's clipped cutoff-ellipse bounding
+ * box inside one tile against the tile's SoA per-pixel state: the row
+ * loop lives inside the kernel and the splat's constants are set up
+ * once, so the CPU overlaps independent rows. The tile drivers
  * (`rasterizeTile`, `backwardTileSplatMajor`) own traversal order, the
  * cutoff-ellipse clip and the per-splat record write; the kernels own
- * only the per-pixel arithmetic. That split is what makes the ladder
- * safe: every rung walks *exactly* the same fragments in the same
- * order, so approximation changes values, never structure.
+ * the per-pixel arithmetic. Every rung therefore walks exactly the same
+ * fragments in the same order, so a rung changes values, never
+ * structure.
  *
- * Implementations:
- *  - scalar exact  — replicates the pre-ladder loops operation for
- *    operation; the `precise` rung and the fallback when AVX2 is
- *    unavailable. Byte-identical to the serial reference.
- *  - scalar approx — same structure with the polynomial exp; the
- *    `fastest_approx` rung under scalar dispatch.
- *  - AVX2 exact/approx — 8-wide with FMA, faithfully-rounded
- *    (<= 1 ulp) or polynomial (<= 16 ulp) exp; compiled in one
- *    TU with -mavx2/-mfma and selected only when CPUID reports
- *    support (common/cpu_features.hh).
+ * One template per ISA, parameterised by the exp:
+ *  - scalar twin — the fallback when AVX2 is unavailable.
+ *  - AVX2 body — 8 lanes per step, compiled in one TU with -mavx2 and
+ *    selected only when CPUID reports support (common/cpu_features.hh).
+ * The two run the same IEEE operations per lane in the same order, with
+ * no FMA (the library pins -ffp-contract=off), and the backward sums
+ * every per-splat gradient in one fixed order (8 lane partial sums, one
+ * reduction tree; see BackwardSplatFn). With the exact exp (`precise`)
+ * they therefore give the same bytes, and the serial reference, which
+ * calls the same expExact, gives them too. With the polynomial exp
+ * (`fastest_approx`) the AVX2 exp fuses multiply-adds, so that rung's
+ * contract is bounded error, not bytes.
  */
 
 #ifndef RTGS_GS_ROW_KERNELS_HH
@@ -39,8 +43,16 @@ namespace rtgs::gs
 /** Sentinel for "pixel never terminated" in the forward term array. */
 inline constexpr u32 kRowNotTerminated = 0xFFFFFFFFu;
 
-/** Blend thresholds shared by every row kernel (from RenderSettings). */
-struct RowKernelCtx
+/**
+ * Elements every tile-state array carries past its last pixel. The AVX2
+ * body loads and stores whole 8-lane steps, so a row's last step reaches
+ * up to 7 elements past the row; lanes outside the footprint store back
+ * the value they loaded.
+ */
+inline constexpr u32 kTileStatePad = 8;
+
+/** Blend thresholds shared by every kernel (from RenderSettings). */
+struct SplatKernelCtx
 {
     Real alphaMin;
     Real alphaMax;
@@ -48,11 +60,23 @@ struct RowKernelCtx
 };
 
 /**
- * SoA per-pixel forward state, pointers pre-offset to the row segment's
- * first pixel. Disjoint per (tile, row segment), so kernels never
- * synchronise.
+ * One splat's clipped footprint in one tile. The tile state is
+ * row-major from the tile origin with row stride `tw`, so pixel
+ * (px, py) sits at index (py - y0) * tw + (px - x0).
  */
-struct ForwardRowState
+struct SplatFootprint
+{
+    u32 sx0, sy0, sx1, sy1; //!< clipped bbox [sx0,sx1) x [sy0,sy1)
+    u32 x0, y0;             //!< tile origin
+    u32 tw;                 //!< tile width (state row stride)
+    u32 slot;               //!< the splat's position in the tile stream
+};
+
+/**
+ * SoA per-pixel forward state of one tile, each array padded by
+ * kTileStatePad. Disjoint per tile, so kernels never synchronise.
+ */
+struct ForwardTileState
 {
     Real *T;      //!< running transmittance
     Real *r, *g, *b; //!< accumulated colour
@@ -62,20 +86,17 @@ struct ForwardRowState
 };
 
 /**
- * Blend splat `g` into `n` pixels starting at screen x `sx0`, row
- * centre offset `dy` = (py + 0.5) - g.my, stream position `slot`.
- * `scratch` has room for 2 * tileWidth Reals. Returns how many pixels
- * newly crossed the termination threshold.
+ * Blend splat `g` into every pixel of its footprint. Returns how many
+ * pixels newly crossed the termination threshold.
  */
-using ForwardRowFn = u32 (*)(const HotSplat &g, Real dy, u32 sx0, u32 n,
-                             u32 slot, const RowKernelCtx &ctx,
-                             const ForwardRowState &px, Real *scratch);
+using ForwardSplatFn = u32 (*)(const HotSplat &g, const SplatFootprint &fp,
+                               const SplatKernelCtx &ctx,
+                               const ForwardTileState &st);
 
 /**
- * Per-splat gradient accumulator, carried across the rows of one
- * splat's bbox walk and folded into a SplatGradRecord by the tile
- * driver. Raw moment sums; conic factors and the -1/2 are applied once
- * per splat.
+ * One splat's gradient sums over its footprint, folded into a
+ * SplatGradRecord by the tile driver. Raw moment sums; conic factors
+ * and the -1/2 are applied once per splat.
  */
 struct BackwardSplatAccum
 {
@@ -83,8 +104,8 @@ struct BackwardSplatAccum
     Real sX = 0, sY = 0, sXX = 0, sXY = 0, sYY = 0;
 };
 
-/** SoA per-pixel backward state, pre-offset like ForwardRowState. */
-struct BackwardRowState
+/** SoA per-pixel backward state of one tile, padded like the forward's. */
+struct BackwardTileState
 {
     Real *T;       //!< rear transmittance (rewinds front-to-back)
     Real *acc;     //!< rear colour/depth pre-dotted with adjoints
@@ -94,39 +115,60 @@ struct BackwardRowState
 };
 
 /**
- * Accumulate splat `g`'s gradient contributions from one row into
- * `out`, updating the per-pixel rear state. Mirrors ForwardRowFn's
- * argument order; `scratch` again holds 2 * tileWidth Reals.
+ * Accumulate splat `g`'s gradient over its footprint, rewinding the
+ * tile's rear state. Rows whose `row_ce` (indexed py - y0) is at most
+ * the slot are skipped: every pixel there terminated earlier.
+ *
+ * Summation order, shared by both twins: each of the ten sums keeps 8
+ * lane partial sums over all rows of the splat, lane k taking the
+ * columns with (px - sx0) mod 8 == k, rows in order; the partials are
+ * reduced once, as ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)).
  */
-using BackwardRowFn = void (*)(const HotSplat &g, Real dy, u32 sx0,
-                               u32 n, u32 slot, const RowKernelCtx &ctx,
-                               const BackwardRowState &px,
-                               BackwardSplatAccum &out, Real *scratch);
+using BackwardSplatFn = BackwardSplatAccum (*)(const HotSplat &g,
+                                               const SplatFootprint &fp,
+                                               const SplatKernelCtx &ctx,
+                                               const BackwardTileState &st,
+                                               const u32 *row_ce);
 
-/** One rung's kernel table. */
-struct RowKernels
+/** The table's exp over a batch (for the exp contract tests). */
+using ExpBatchFn = void (*)(const Real *x, Real *out, size_t n);
+
+/** One rung's kernel table at one ISA. */
+struct SplatKernels
 {
-    ForwardRowFn forwardRow;
-    BackwardRowFn backwardRow;
+    ForwardSplatFn forwardSplat;
+    BackwardSplatFn backwardSplat;
+    ExpBatchFn expBatch;
     const char *name; //!< e.g. "scalar-exact", "avx2-approx" (for JSON)
 };
 
 /**
- * Pick the kernel table for a preset at an explicit SIMD level.
- * `Precise` always returns the scalar-exact table (its contract is
- * byte-identity, which no reassociated SIMD path can honour); `Fast`
- * and `FastestApprox` return AVX2 tables when the level allows and the
- * binary carries them, otherwise the scalar table of matching exp
- * flavour.
+ * Pick the kernel table for a preset at an explicit SIMD level: the
+ * AVX2 table when the level allows and the binary carries it, else the
+ * scalar twin. `Precise` gets the exact exp, `FastestApprox` the
+ * polynomial one.
  */
-const RowKernels &selectRowKernels(PipelinePreset preset, SimdLevel level);
+const SplatKernels &selectSplatKernels(PipelinePreset preset,
+                                       SimdLevel level);
 
 /** Dispatch at the process's active SIMD level (CPUID + RTGS_SIMD). */
-inline const RowKernels &
-selectRowKernels(const PipelineConfig &config)
+inline const SplatKernels &
+selectSplatKernels(const PipelineConfig &config)
 {
-    return selectRowKernels(config.preset, activeSimdLevel());
+    return selectSplatKernels(config.preset, activeSimdLevel());
 }
+
+/**
+ * The exact exp of the splat math, libm-free: widens to double, reduces
+ * by n = round(x / ln 2) with a hi/lo split of ln 2, evaluates a
+ * degree-8 Taylor polynomial in Estrin form with plain mul/add, scales
+ * by 2^n through the exponent bits and narrows to float once. Within
+ * 1 ulp of std::exp (every float in [-87, 0] checked, the rest of the
+ * range on a strided sweep); NaN stays NaN. The AVX2 twin runs the
+ * same operations and gives the same bytes. Called by both kernel
+ * twins, the serial reference forward and the pixel-major backward.
+ */
+Real expExact(Real x);
 
 /**
  * Scalar twin of the approx rung's polynomial exp (Cephes-style
@@ -136,23 +178,11 @@ selectRowKernels(const PipelineConfig &config)
 Real expApproxScalar(Real x);
 
 /**
- * Test/bench hooks: evaluate the approx or faithful exp over a batch
- * with the *active* dispatch (AVX2 when available, scalar twin /
- * std::exp otherwise). The ulp-contract tests run against these so the
- * bound is checked on whatever path production dispatches to.
- */
-void expApproxBatch(const Real *x, Real *out, size_t n);
-void expFaithfulBatch(const Real *x, Real *out, size_t n);
-
-/**
  * AVX2 kernel table from the -mavx2 TU, or nullptr when the toolchain
- * could not build it. Internal to the dispatcher and the micro-bench;
- * call through selectRowKernels() everywhere else.
+ * could not build it. Internal to the dispatcher; call through
+ * selectSplatKernels() everywhere else.
  */
-const RowKernels *rowKernelsAvx2(bool approx_exp);
-
-/** AVX2 exp batch hooks (nullptr function behaviour: see above). */
-bool expBatchAvx2(const Real *x, Real *out, size_t n, bool approx);
+const SplatKernels *splatKernelsAvx2(bool approx_exp);
 
 } // namespace rtgs::gs
 

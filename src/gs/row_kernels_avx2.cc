@@ -1,22 +1,27 @@
 /**
  * @file
- * 8-wide AVX2+FMA row kernels for the `fast` and `fastest_approx`
- * rungs, plus the two vector exp flavours:
+ * 8-wide AVX2 bodies of the splat kernels, plus the two vector exps
+ * they are instantiated with:
  *
- *  - expFaithful8: double-internal (two 4-wide halves), faithfully
- *    rounded to float — <= 1 ulp vs std::exp over the live range.
- *  - expApprox8:   single-precision Cephes-style degree-5 minimax,
- *    ~2e-7 relative error (contract: <= 16 ulp, asserted by
- *    tests/test_gs_simd.cc).
+ *  - expExact8:  the AVX2 twin of expExact (two 4-wide double halves),
+ *    the same IEEE operations as the scalar function, so the two give
+ *    the same bytes. The `precise` rung.
+ *  - expApprox8: single-precision Cephes-style degree-5 minimax with
+ *    FMA, ~2e-7 relative error (contract: <= 16 ulp, asserted by
+ *    tests/test_gs_simd.cc). The `fastest_approx` rung.
+ *
+ * Lane k of step j is pixel sx0 + 8j + k of the row. Every per-lane
+ * operation is the scalar twin's (gs/row_kernels.cc), in the same
+ * order, with no FMA: the library pins -ffp-contract=off, and this TU
+ * calls no fused intrinsic outside expApprox8. Lanes that fail a test
+ * keep their state through a blend and add +0 to the gradient sums
+ * (the products are masked, so NaN or inf in a rejected lane never
+ * leaks), which is why `precise` gives the scalar twin's bytes.
  *
  * This is the only TU compiled with -mavx2/-mfma (set per-file in
  * CMakeLists.txt); when the toolchain can't do that, the whole body
- * compiles away and rowKernelsAvx2() returns nullptr, so the
- * dispatcher falls back to scalar. Numeric contract of both rungs:
- * identical fragment set and blend order to `precise` (same skip
- * tests, same per-pixel recurrences), fp32 state, but reassociated
- * lane arithmetic with FMA — results are deterministic per rung and
- * worker-count independent, just not bit-equal to scalar.
+ * compiles away and splatKernelsAvx2() returns nullptr, so the
+ * dispatcher falls back to scalar.
  */
 
 #include "gs/row_kernels.hh"
@@ -33,34 +38,7 @@ namespace
 
 static_assert(sizeof(Real) == 4, "AVX2 kernels assume float Real");
 
-/**
- * Per-lane i32 masks for a length-m tail (m in 1..8): the first m
- * lanes of maskTail(m) are all-ones. Index 8 - m into the shifting
- * window of ones.
- */
-const i32 kTailMaskTable[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
-                                0,  0,  0,  0,  0,  0,  0,  0};
-
-inline __m256i
-tailMask(u32 m)
-{
-    return _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(kTailMaskTable + (8 - m)));
-}
-
-/** Horizontal sum of 8 float lanes. */
-inline float
-sum8(__m256 v)
-{
-    __m128 lo = _mm256_castps256_ps128(v);
-    __m128 hi = _mm256_extractf128_ps(v, 1);
-    __m128 s = _mm_add_ps(lo, hi);
-    s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-    s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-    return _mm_cvtss_f32(s);
-}
-
-/** Popcount of a blend mask (number of set lanes). */
+/** Popcount of a lane mask (number of set lanes). */
 inline u32
 laneCount(__m256 mask)
 {
@@ -68,57 +46,61 @@ laneCount(__m256 mask)
         __builtin_popcount(static_cast<unsigned>(_mm256_movemask_ps(mask))));
 }
 
-// det-lint: begin-allow(double-accum) — the exact-tier exp is double
-// on purpose: it widens ONE value transcendentally and narrows back,
-// which is precision-raising, not an accumulation path. The lint rule
-// exists to stop float sums drifting through double accumulators; a
-// faithfully-rounded scalar function is the sanctioned exception.
-/** exp on 4 doubles, |x| <= 90: range reduce, degree-10 Taylor. */
+// det-lint: begin-allow(double-accum) — the AVX2 twin of expExact:
+// double on purpose, it widens one value per lane, evaluates it and
+// narrows back once; nothing accumulates in double.
+/** expExact's operations on 4 clamped doubles. */
 inline __m256d
-expDouble4(__m256d x)
+expExact4(__m256d x)
 {
-    const __m256d inv_ln2 = _mm256_set1_pd(1.4426950408889634074);
-    const __m256d ln2_hi = _mm256_set1_pd(6.93147180369123816490e-01);
-    const __m256d ln2_lo = _mm256_set1_pd(1.90821492927058770002e-10);
+    const __m256d shifter = _mm256_set1_pd(6755399441055744.0);
+    const __m256d t = _mm256_add_pd(
+        _mm256_mul_pd(x, _mm256_set1_pd(1.4426950408889634074)), shifter);
+    const __m256d n = _mm256_sub_pd(t, shifter);
+    const __m256d r = _mm256_sub_pd(
+        _mm256_sub_pd(x, _mm256_mul_pd(
+                             n, _mm256_set1_pd(6.93147180369123816490e-01))),
+        _mm256_mul_pd(n, _mm256_set1_pd(1.90821492927058770002e-10)));
 
-    __m256d n = _mm256_round_pd(
-        _mm256_mul_pd(x, inv_ln2),
-        _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-    __m256d r = _mm256_fnmadd_pd(n, ln2_hi, x);
-    r = _mm256_fnmadd_pd(n, ln2_lo, r);
+    const __m256d r2 = _mm256_mul_pd(r, r);
+    const __m256d r4 = _mm256_mul_pd(r2, r2);
+    const __m256d p01 = _mm256_add_pd(_mm256_set1_pd(1.0), r);
+    const __m256d p23 = _mm256_add_pd(
+        _mm256_set1_pd(1.0 / 2), _mm256_mul_pd(_mm256_set1_pd(1.0 / 6), r));
+    const __m256d p45 =
+        _mm256_add_pd(_mm256_set1_pd(1.0 / 24),
+                      _mm256_mul_pd(_mm256_set1_pd(1.0 / 120), r));
+    const __m256d p67 =
+        _mm256_add_pd(_mm256_set1_pd(1.0 / 720),
+                      _mm256_mul_pd(_mm256_set1_pd(1.0 / 5040), r));
+    const __m256d p03 = _mm256_add_pd(p01, _mm256_mul_pd(p23, r2));
+    const __m256d p47 = _mm256_add_pd(p45, _mm256_mul_pd(p67, r2));
+    const __m256d p = _mm256_add_pd(
+        p03,
+        _mm256_mul_pd(
+            _mm256_add_pd(p47,
+                          _mm256_mul_pd(_mm256_set1_pd(1.0 / 40320), r4)),
+            r4));
 
-    // Taylor to r^10 on [-ln2/2, ln2/2]: truncation ~2e-12 relative,
-    // far below half a float ulp after the final narrowing.
-    __m256d p = _mm256_set1_pd(1.0 / 3628800.0);
-    p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0 / 362880.0));
-    p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0 / 40320.0));
-    p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0 / 5040.0));
-    p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0 / 720.0));
-    p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0 / 120.0));
-    p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0 / 24.0));
-    p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0 / 6.0));
-    p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(0.5));
-    p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0));
-    p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(1.0));
-
-    // Scale by 2^n through the exponent field (n in [-130, 1] here,
-    // well inside the double exponent range).
-    __m128i n32 = _mm256_cvtpd_epi32(n);
-    __m256i n64 = _mm256_cvtepi32_epi64(n32);
-    __m256i pow2 = _mm256_slli_epi64(
-        _mm256_add_epi64(n64, _mm256_set1_epi64x(1023)), 52);
+    const __m256i pow2 = _mm256_slli_epi64(
+        _mm256_add_epi64(_mm256_castpd_si256(t), _mm256_set1_epi64x(1023)),
+        52);
     return _mm256_mul_pd(p, _mm256_castsi256_pd(pow2));
 }
 
-/** Faithfully-rounded float exp: widen to double, exp, narrow. */
+/** expExact on 8 floats: the same clamp, two double halves. */
 inline __m256
-expFaithful8(__m256 x)
+expExact8(__m256 x)
 {
-    __m256d lo = _mm256_cvtps_pd(_mm256_castps256_ps128(x));
-    __m256d hi = _mm256_cvtps_pd(_mm256_extractf128_ps(x, 1));
-    __m128 rlo = _mm256_cvtpd_ps(expDouble4(lo));
-    __m128 rhi = _mm256_cvtpd_ps(expDouble4(hi));
-    return _mm256_set_m128(rhi, rlo);
+    // max/min return their second operand when either is NaN, the
+    // scalar ternaries' behaviour.
+    x = _mm256_max_ps(_mm256_set1_ps(-104.0f), x);
+    x = _mm256_min_ps(_mm256_set1_ps(89.0f), x);
+    const __m128 lo = _mm256_cvtpd_ps(
+        expExact4(_mm256_cvtps_pd(_mm256_castps256_ps128(x))));
+    const __m128 hi = _mm256_cvtpd_ps(
+        expExact4(_mm256_cvtps_pd(_mm256_extractf128_ps(x, 1))));
+    return _mm256_set_m128(hi, lo);
 }
 // det-lint: end-allow(double-accum)
 
@@ -130,6 +112,9 @@ expApprox8(__m256 x)
     const __m256 ln2_hi = _mm256_set1_ps(0.693359375f);
     const __m256 ln2_lo = _mm256_set1_ps(-2.12194440e-4f);
 
+    // Valid on [-87, 0]; rejected lanes may carry anything.
+    x = _mm256_max_ps(_mm256_set1_ps(-87.0f),
+                      _mm256_min_ps(x, _mm256_setzero_ps()));
     __m256 n = _mm256_round_ps(
         _mm256_mul_ps(x, inv_ln2),
         _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
@@ -158,319 +143,312 @@ iota8()
     return _mm256_setr_ps(0, 1, 2, 3, 4, 5, 6, 7);
 }
 
-/**
- * Forward row, 8 pixels per step. The structure mirrors the scalar
- * kernel exactly (same skip tests, same recurrences); lanes that fail
- * any test get a zeroed blend weight, so the unconditional accumulate
- * is a no-op for them. exp input is clamped to [-87, 0] so rejected
- * lanes (power > 0 or far below skip) still produce finite garbage
- * that the mask then discards.
- */
+/** Broadcast constants and per-lane power shared by both kernels. */
+struct SplatLanes
+{
+    __m256 mx, cxx, cxy2, skip, half, negHalf, zero, pxFirst, pxEnd;
+
+    explicit SplatLanes(const HotSplat &g, const SplatFootprint &fp)
+        : mx(_mm256_set1_ps(g.mx)), cxx(_mm256_set1_ps(g.cxx)),
+          cxy2(_mm256_set1_ps(Real(2) * g.cxy)),
+          skip(_mm256_set1_ps(g.powerSkip)), half(_mm256_set1_ps(0.5f)),
+          negHalf(_mm256_set1_ps(-0.5f)), zero(_mm256_setzero_ps()),
+          pxFirst(_mm256_add_ps(
+              _mm256_set1_ps(static_cast<Real>(fp.sx0)), iota8())),
+          pxEnd(_mm256_set1_ps(static_cast<Real>(fp.sx1)))
+    {
+    }
+
+    /** dx = (px + 0.5) - mx for the lanes' pixel x (exact below 2^23). */
+    __m256
+    dx(__m256 pxf) const
+    {
+        return _mm256_sub_ps(_mm256_add_ps(pxf, half), mx);
+    }
+
+    /** power = -0.5 (((cxx dx) dx + ((2 cxy) dx) dy) + (cyy dy) dy). */
+    __m256
+    power(__m256 dx, __m256 dy, __m256 qy) const
+    {
+        const __m256 q = _mm256_add_ps(
+            _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(cxx, dx), dx),
+                          _mm256_mul_ps(_mm256_mul_ps(cxy2, dx), dy)),
+            qy);
+        return _mm256_mul_ps(negHalf, q);
+    }
+
+    /** Lanes inside the footprint with !(power > 0) && !(power < skip). */
+    __m256
+    live(__m256 pxf, __m256 power) const
+    {
+        return _mm256_and_ps(
+            _mm256_cmp_ps(pxf, pxEnd, _CMP_LT_OQ),
+            _mm256_and_ps(_mm256_cmp_ps(power, zero, _CMP_NGT_UQ),
+                          _mm256_cmp_ps(power, skip, _CMP_NLT_UQ)));
+    }
+};
+
+/** Old value on lanes outside `mask`, new value inside. */
+inline void
+storeBlend(Real *p, __m256 old_v, __m256 new_v, __m256 mask)
+{
+    _mm256_storeu_ps(p, _mm256_blendv_ps(old_v, new_v, mask));
+}
+
 template <__m256 (*EXP8)(__m256)>
 u32
-forwardRowAvx2(const HotSplat &g, Real dy, u32 sx0, u32 n, u32 slot,
-               const RowKernelCtx &ctx, const ForwardRowState &px,
-               Real *)
+forwardSplatAvx2(const HotSplat &g, const SplatFootprint &fp,
+                 const SplatKernelCtx &ctx, const ForwardTileState &st)
 {
-    const __m256 vdy = _mm256_set1_ps(dy);
-    const __m256 cxx = _mm256_set1_ps(g.cxx);
-    const __m256 cxy2 = _mm256_set1_ps(2.0f * g.cxy);
-    const __m256 cyy_dy2 =
-        _mm256_mul_ps(_mm256_set1_ps(g.cyy), _mm256_mul_ps(vdy, vdy));
-    const __m256 half = _mm256_set1_ps(-0.5f);
-    const __m256 skip = _mm256_set1_ps(g.powerSkip);
-    const __m256 zero = _mm256_setzero_ps();
+    const SplatLanes L(g, fp);
     const __m256 opacity = _mm256_set1_ps(g.opacity);
     const __m256 alpha_min = _mm256_set1_ps(ctx.alphaMin);
     const __m256 alpha_max = _mm256_set1_ps(ctx.alphaMax);
     const __m256 t_eps = _mm256_set1_ps(ctx.tEps);
     const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 eight = _mm256_set1_ps(8.0f);
     const __m256 col_r = _mm256_set1_ps(g.r);
     const __m256 col_g = _mm256_set1_ps(g.g);
     const __m256 col_b = _mm256_set1_ps(g.b);
     const __m256 col_d = _mm256_set1_ps(g.depth);
-    const __m256i vslot = _mm256_set1_epi32(static_cast<i32>(slot));
-    // dx for lane 0; lane offsets via iota. Exact for coords < 2^24.
-    const __m256 dx0 = _mm256_add_ps(
-        _mm256_set1_ps(static_cast<float>(sx0) + 0.5f - g.mx), iota8());
-    const __m256 eight = _mm256_set1_ps(8.0f);
+    const __m256i vslot = _mm256_set1_epi32(static_cast<i32>(fp.slot));
+    const u32 n = fp.sx1 - fp.sx0;
 
     u32 newly_terminated = 0;
-    __m256 vdx = dx0;
-    for (u32 i = 0; i < n; i += 8, vdx = _mm256_add_ps(vdx, eight)) {
-        const u32 m = n - i >= 8 ? 8 : n - i;
-        const __m256i lane_mask = tailMask(m);
+    for (u32 py = fp.sy0; py < fp.sy1; ++py) {
+        const Real dy_s = (static_cast<Real>(py) + Real(0.5)) - g.my;
+        const __m256 dy = _mm256_set1_ps(dy_s);
+        const __m256 qy = _mm256_set1_ps(g.cyy * dy_s * dy_s);
+        const size_t row = size_t(py - fp.y0) * fp.tw + (fp.sx0 - fp.x0);
+        __m256 pxf = L.pxFirst;
+        for (u32 i = 0; i < n; i += 8, pxf = _mm256_add_ps(pxf, eight)) {
+            const __m256 power = L.power(L.dx(pxf), dy, qy);
+            __m256 blend = L.live(pxf, power);
+            if (_mm256_testz_ps(blend, blend))
+                continue;
 
-        // power = -0.5 (cxx dx^2 + 2 cxy dx dy + cyy dy^2)
-        __m256 q = _mm256_fmadd_ps(
-            _mm256_mul_ps(cxx, vdx), vdx,
-            _mm256_fmadd_ps(_mm256_mul_ps(cxy2, vdx), vdy, cyy_dy2));
-        __m256 power = _mm256_mul_ps(half, q);
+            const size_t p = row + i;
+            const __m256 T = _mm256_loadu_ps(st.T + p);
+            blend = _mm256_and_ps(blend,
+                                  _mm256_cmp_ps(T, t_eps, _CMP_NLT_UQ));
+            // std::min(alphaMax, v) is (v < alphaMax) ? v : alphaMax.
+            const __m256 alpha = _mm256_min_ps(
+                _mm256_mul_ps(opacity, EXP8(power)), alpha_max);
+            blend = _mm256_and_ps(
+                blend, _mm256_cmp_ps(alpha, alpha_min, _CMP_NLT_UQ));
+            if (_mm256_testz_ps(blend, blend))
+                continue;
 
-        __m256 blend = _mm256_and_ps(
-            _mm256_cmp_ps(power, zero, _CMP_LE_OQ),
-            _mm256_cmp_ps(power, skip, _CMP_GE_OQ));
-        blend = _mm256_and_ps(blend, _mm256_castsi256_ps(lane_mask));
-        if (_mm256_testz_ps(blend, blend))
-            continue;
+            const __m256 t_next = _mm256_mul_ps(T, _mm256_sub_ps(one, alpha));
+            const __m256 w = _mm256_mul_ps(alpha, T);
+            const __m256 r = _mm256_loadu_ps(st.r + p);
+            const __m256 gc = _mm256_loadu_ps(st.g + p);
+            const __m256 b = _mm256_loadu_ps(st.b + p);
+            const __m256 d = _mm256_loadu_ps(st.d + p);
+            storeBlend(st.r + p, r,
+                       _mm256_add_ps(r, _mm256_mul_ps(col_r, w)), blend);
+            storeBlend(st.g + p, gc,
+                       _mm256_add_ps(gc, _mm256_mul_ps(col_g, w)), blend);
+            storeBlend(st.b + p, b,
+                       _mm256_add_ps(b, _mm256_mul_ps(col_b, w)), blend);
+            storeBlend(st.d + p, d,
+                       _mm256_add_ps(d, _mm256_mul_ps(col_d, w)), blend);
+            storeBlend(st.T + p, T, t_next, blend);
 
-        __m256 T = m == 8
-                       ? _mm256_loadu_ps(px.T + i)
-                       : _mm256_maskload_ps(px.T + i, lane_mask);
-        blend = _mm256_and_ps(blend,
-                              _mm256_cmp_ps(T, t_eps, _CMP_GE_OQ));
+            // blended += 1 on blend lanes (the mask is -1 there).
+            __m256i *bl = reinterpret_cast<__m256i *>(st.blended + p);
+            _mm256_storeu_si256(
+                bl, _mm256_sub_epi32(_mm256_loadu_si256(bl),
+                                     _mm256_castps_si256(blend)));
 
-        __m256 x = _mm256_max_ps(_mm256_set1_ps(-87.0f),
-                                 _mm256_min_ps(power, zero));
-        __m256 alpha =
-            _mm256_min_ps(alpha_max, _mm256_mul_ps(opacity, EXP8(x)));
-        blend = _mm256_and_ps(
-            blend, _mm256_cmp_ps(alpha, alpha_min, _CMP_GE_OQ));
-        if (_mm256_testz_ps(blend, blend))
-            continue;
-
-        // Masked lanes blend with alpha = 0: T and the accumulators
-        // are unchanged there, so one unconditional store suffices.
-        alpha = _mm256_and_ps(alpha, blend);
-        __m256 w = _mm256_mul_ps(alpha, T);
-        __m256 t_next = _mm256_mul_ps(T, _mm256_sub_ps(one, alpha));
-
-        if (m == 8) {
-            _mm256_storeu_ps(px.r + i, _mm256_fmadd_ps(
-                col_r, w, _mm256_loadu_ps(px.r + i)));
-            _mm256_storeu_ps(px.g + i, _mm256_fmadd_ps(
-                col_g, w, _mm256_loadu_ps(px.g + i)));
-            _mm256_storeu_ps(px.b + i, _mm256_fmadd_ps(
-                col_b, w, _mm256_loadu_ps(px.b + i)));
-            _mm256_storeu_ps(px.d + i, _mm256_fmadd_ps(
-                col_d, w, _mm256_loadu_ps(px.d + i)));
-            _mm256_storeu_ps(px.T + i, t_next);
-        } else {
-            _mm256_maskstore_ps(px.r + i, lane_mask, _mm256_fmadd_ps(
-                col_r, w, _mm256_maskload_ps(px.r + i, lane_mask)));
-            _mm256_maskstore_ps(px.g + i, lane_mask, _mm256_fmadd_ps(
-                col_g, w, _mm256_maskload_ps(px.g + i, lane_mask)));
-            _mm256_maskstore_ps(px.b + i, lane_mask, _mm256_fmadd_ps(
-                col_b, w, _mm256_maskload_ps(px.b + i, lane_mask)));
-            _mm256_maskstore_ps(px.d + i, lane_mask, _mm256_fmadd_ps(
-                col_d, w, _mm256_maskload_ps(px.d + i, lane_mask)));
-            _mm256_maskstore_ps(px.T + i, lane_mask, t_next);
-        }
-
-        // blended += 1 on blend lanes (mask is -1 there: subtract).
-        i32 *blended_i = reinterpret_cast<i32 *>(px.blended + i);
-        const __m256i blend_i = _mm256_castps_si256(blend);
-        __m256i bl = _mm256_sub_epi32(
-            _mm256_maskload_epi32(blended_i, lane_mask), blend_i);
-        _mm256_maskstore_epi32(blended_i, lane_mask, bl);
-
-        // Newly terminated: blended this step and fell below t_eps.
-        __m256 term = _mm256_and_ps(
-            blend, _mm256_cmp_ps(t_next, t_eps, _CMP_LT_OQ));
-        if (!_mm256_testz_ps(term, term)) {
-            i32 *term_i = reinterpret_cast<i32 *>(px.term + i);
-            _mm256_maskstore_epi32(term_i, _mm256_castps_si256(term),
-                                   vslot);
-            newly_terminated += laneCount(term);
+            // Newly terminated: blended this step and fell below t_eps.
+            const __m256 term = _mm256_and_ps(
+                blend, _mm256_cmp_ps(t_next, t_eps, _CMP_LT_OQ));
+            if (!_mm256_testz_ps(term, term)) {
+                _mm256_maskstore_epi32(
+                    reinterpret_cast<i32 *>(st.term + p),
+                    _mm256_castps_si256(term), vslot);
+                newly_terminated += laneCount(term);
+            }
         }
     }
     return newly_terminated;
 }
 
 /**
- * Backward row, 8 pixels per step. Per-splat gradient sums live in
- * vector accumulators for the row and are horizontally reduced into
- * `out` once at the end — a reassociation the fast rungs permit.
+ * Tree-reduce four accumulators at once: lane i of the result is
+ * ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)) of the i-th argument.
  */
-template <__m256 (*EXP8)(__m256)>
-void
-backwardRowAvx2(const HotSplat &g, Real dy, u32 sx0, u32 n, u32 slot,
-                const RowKernelCtx &ctx, const BackwardRowState &px,
-                BackwardSplatAccum &out, Real *)
+inline __m128
+reduce4(__m256 a, __m256 b, __m256 c, __m256 d)
 {
-    const __m256 vdy = _mm256_set1_ps(dy);
-    const __m256 cxx = _mm256_set1_ps(g.cxx);
-    const __m256 cxy2 = _mm256_set1_ps(2.0f * g.cxy);
-    const __m256 cyy_dy2 =
-        _mm256_mul_ps(_mm256_set1_ps(g.cyy), _mm256_mul_ps(vdy, vdy));
-    const __m256 half = _mm256_set1_ps(-0.5f);
-    const __m256 skip = _mm256_set1_ps(g.powerSkip);
-    const __m256 zero = _mm256_setzero_ps();
+    const __m256 pairs =
+        _mm256_hadd_ps(_mm256_hadd_ps(a, b), _mm256_hadd_ps(c, d));
+    return _mm_add_ps(_mm256_castps256_ps128(pairs),
+                      _mm256_extractf128_ps(pairs, 1));
+}
+
+/** acc + (v on mask lanes, +0 elsewhere). */
+inline __m256
+addMasked(__m256 acc, __m256 v, __m256 mask)
+{
+    return _mm256_add_ps(acc, _mm256_and_ps(v, mask));
+}
+
+template <__m256 (*EXP8)(__m256)>
+BackwardSplatAccum
+backwardSplatAvx2(const HotSplat &g, const SplatFootprint &fp,
+                  const SplatKernelCtx &ctx, const BackwardTileState &st,
+                  const u32 *row_ce)
+{
+    const SplatLanes L(g, fp);
     const __m256 opacity = _mm256_set1_ps(g.opacity);
     const __m256 alpha_min = _mm256_set1_ps(ctx.alphaMin);
     const __m256 alpha_max = _mm256_set1_ps(ctx.alphaMax);
     const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 eight = _mm256_set1_ps(8.0f);
     const __m256 col_r = _mm256_set1_ps(g.r);
     const __m256 col_g = _mm256_set1_ps(g.g);
     const __m256 col_b = _mm256_set1_ps(g.b);
     const __m256 col_d = _mm256_set1_ps(g.depth);
-    const __m256i vslot = _mm256_set1_epi32(static_cast<i32>(slot));
-    const __m256 dx0 = _mm256_add_ps(
-        _mm256_set1_ps(static_cast<float>(sx0) + 0.5f - g.mx), iota8());
-    const __m256 eight = _mm256_set1_ps(8.0f);
+    const __m256i vslot = _mm256_set1_epi32(static_cast<i32>(fp.slot));
+    const u32 n = fp.sx1 - fp.sx0;
 
+    const __m256 zero = L.zero;
     __m256 a_r = zero, a_g = zero, a_b = zero, a_d = zero, a_op = zero;
     __m256 a_sx = zero, a_sy = zero;
     __m256 a_sxx = zero, a_sxy = zero, a_syy = zero;
-    bool any = false;
 
-    __m256 vdx = dx0;
-    for (u32 i = 0; i < n; i += 8, vdx = _mm256_add_ps(vdx, eight)) {
-        const u32 m = n - i >= 8 ? 8 : n - i;
-        const __m256i lane_mask = tailMask(m);
+    for (u32 py = fp.sy0; py < fp.sy1; ++py) {
+        if (fp.slot >= row_ce[py - fp.y0])
+            continue; // every pixel of the row terminated earlier
+        const Real dy_s = (static_cast<Real>(py) + Real(0.5)) - g.my;
+        const __m256 dy = _mm256_set1_ps(dy_s);
+        const __m256 qy = _mm256_set1_ps(g.cyy * dy_s * dy_s);
+        const size_t row = size_t(py - fp.y0) * fp.tw + (fp.sx0 - fp.x0);
+        __m256 pxf = L.pxFirst;
+        for (u32 i = 0; i < n; i += 8, pxf = _mm256_add_ps(pxf, eight)) {
+            const __m256 dx = L.dx(pxf);
+            const __m256 power = L.power(dx, dy, qy);
+            __m256 blend = L.live(pxf, power);
+            if (_mm256_testz_ps(blend, blend))
+                continue;
 
-        __m256 q = _mm256_fmadd_ps(
-            _mm256_mul_ps(cxx, vdx), vdx,
-            _mm256_fmadd_ps(_mm256_mul_ps(cxy2, vdx), vdy, cyy_dy2));
-        __m256 power = _mm256_mul_ps(half, q);
+            // This splat was examined forward only where slot < ce.
+            const size_t p = row + i;
+            const __m256i ce = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(st.ce + p));
+            blend = _mm256_and_ps(
+                blend, _mm256_castsi256_ps(_mm256_cmpgt_epi32(ce, vslot)));
+            if (_mm256_testz_ps(blend, blend))
+                continue;
 
-        __m256 blend = _mm256_and_ps(
-            _mm256_cmp_ps(power, zero, _CMP_LE_OQ),
-            _mm256_cmp_ps(power, skip, _CMP_GE_OQ));
-        blend = _mm256_and_ps(blend, _mm256_castsi256_ps(lane_mask));
-        if (_mm256_testz_ps(blend, blend))
-            continue;
+            const __m256 gval = EXP8(power);
+            const __m256 raw_alpha = _mm256_mul_ps(opacity, gval);
+            const __m256 clamped =
+                _mm256_cmp_ps(raw_alpha, alpha_max, _CMP_GT_OQ);
+            const __m256 alpha =
+                _mm256_blendv_ps(raw_alpha, alpha_max, clamped);
+            blend = _mm256_and_ps(
+                blend, _mm256_cmp_ps(alpha, alpha_min, _CMP_NLT_UQ));
+            if (_mm256_testz_ps(blend, blend))
+                continue;
 
-        // ce test: this splat blended forward only where slot < ce.
-        const i32 *ce_i = reinterpret_cast<const i32 *>(px.ce + i);
-        __m256i ce = _mm256_maskload_epi32(ce_i, lane_mask);
-        blend = _mm256_and_ps(
-            blend,
-            _mm256_castsi256_ps(_mm256_cmpgt_epi32(ce, vslot)));
-        if (_mm256_testz_ps(blend, blend))
-            continue;
+            const __m256 om = _mm256_sub_ps(one, alpha);
+            const __m256 inv_om = _mm256_div_ps(one, om);
+            const __m256 T = _mm256_loadu_ps(st.T + p);
+            const __m256 t_before = _mm256_mul_ps(T, inv_om);
+            storeBlend(st.T + p, T, t_before, blend);
 
-        __m256 x = _mm256_max_ps(_mm256_set1_ps(-87.0f),
-                                 _mm256_min_ps(power, zero));
-        __m256 gval = EXP8(x);
-        __m256 raw_alpha = _mm256_mul_ps(opacity, gval);
-        __m256 clamped =
-            _mm256_cmp_ps(raw_alpha, alpha_max, _CMP_GT_OQ);
-        __m256 alpha = _mm256_min_ps(alpha_max, raw_alpha);
-        blend = _mm256_and_ps(
-            blend, _mm256_cmp_ps(alpha, alpha_min, _CMP_GE_OQ));
-        if (_mm256_testz_ps(blend, blend))
-            continue;
-        any = true;
+            const __m256 dlR = _mm256_loadu_ps(st.dlR + p);
+            const __m256 dlG = _mm256_loadu_ps(st.dlG + p);
+            const __m256 dlB = _mm256_loadu_ps(st.dlB + p);
+            const __m256 dlD = _mm256_loadu_ps(st.dlD + p);
+            const __m256 w = _mm256_mul_ps(alpha, t_before);
+            a_r = addMasked(a_r, _mm256_mul_ps(dlR, w), blend);
+            a_g = addMasked(a_g, _mm256_mul_ps(dlG, w), blend);
+            a_b = addMasked(a_b, _mm256_mul_ps(dlB, w), blend);
+            a_d = addMasked(a_d, _mm256_mul_ps(dlD, w), blend);
 
-        __m256 T = m == 8
-                       ? _mm256_loadu_ps(px.T + i)
-                       : _mm256_maskload_ps(px.T + i, lane_mask);
-        __m256 acc = m == 8
-                         ? _mm256_loadu_ps(px.acc + i)
-                         : _mm256_maskload_ps(px.acc + i, lane_mask);
-        __m256 dlR = m == 8
-                         ? _mm256_loadu_ps(px.dlR + i)
-                         : _mm256_maskload_ps(px.dlR + i, lane_mask);
-        __m256 dlG = m == 8
-                         ? _mm256_loadu_ps(px.dlG + i)
-                         : _mm256_maskload_ps(px.dlG + i, lane_mask);
-        __m256 dlB = m == 8
-                         ? _mm256_loadu_ps(px.dlB + i)
-                         : _mm256_maskload_ps(px.dlB + i, lane_mask);
-        __m256 dlD = m == 8
-                         ? _mm256_loadu_ps(px.dlD + i)
-                         : _mm256_maskload_ps(px.dlD + i, lane_mask);
-        __m256 bgT = m == 8
-                         ? _mm256_loadu_ps(px.bgT + i)
-                         : _mm256_maskload_ps(px.bgT + i, lane_mask);
+            const __m256 gd = _mm256_add_ps(
+                _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(col_r, dlR),
+                                            _mm256_mul_ps(col_g, dlG)),
+                              _mm256_mul_ps(col_b, dlB)),
+                _mm256_mul_ps(col_d, dlD));
+            const __m256 acc = _mm256_loadu_ps(st.acc + p);
 
-        __m256 om = _mm256_sub_ps(one, alpha);
-        __m256 inv_om = _mm256_div_ps(one, om);
-        __m256 t_before = _mm256_mul_ps(T, inv_om);
-        // Rewind T only on blend lanes.
-        __m256 T_new = _mm256_blendv_ps(T, t_before, blend);
+            // Alpha gradient (Eq. 4 plus the background term), only
+            // where alpha did not saturate.
+            const __m256 grad = _mm256_andnot_ps(clamped, blend);
+            const __m256 dl_dalpha = _mm256_sub_ps(
+                _mm256_mul_ps(_mm256_sub_ps(gd, acc), t_before),
+                _mm256_mul_ps(_mm256_loadu_ps(st.bgT + p), inv_om));
+            a_op = addMasked(a_op, _mm256_mul_ps(gval, dl_dalpha), grad);
+            const __m256 dl_dpower = _mm256_mul_ps(alpha, dl_dalpha);
+            const __m256 mx = _mm256_mul_ps(dx, dl_dpower);
+            const __m256 my = _mm256_mul_ps(dy, dl_dpower);
+            a_sx = addMasked(a_sx, mx, grad);
+            a_sy = addMasked(a_sy, my, grad);
+            a_sxx = addMasked(a_sxx, _mm256_mul_ps(dx, mx), grad);
+            a_sxy = addMasked(a_sxy, _mm256_mul_ps(dx, my), grad);
+            a_syy = addMasked(a_syy, _mm256_mul_ps(dy, my), grad);
 
-        __m256 w = _mm256_and_ps(_mm256_mul_ps(alpha, t_before), blend);
-        a_r = _mm256_fmadd_ps(dlR, w, a_r);
-        a_g = _mm256_fmadd_ps(dlG, w, a_g);
-        a_b = _mm256_fmadd_ps(dlB, w, a_b);
-        a_d = _mm256_fmadd_ps(dlD, w, a_d);
-
-        __m256 gd = _mm256_fmadd_ps(
-            col_r, dlR,
-            _mm256_fmadd_ps(col_g, dlG,
-                            _mm256_fmadd_ps(col_b, dlB,
-                                            _mm256_mul_ps(col_d, dlD))));
-
-        __m256 grad = _mm256_andnot_ps(clamped, blend);
-        __m256 dl_dalpha = _mm256_fnmadd_ps(
-            bgT, inv_om,
-            _mm256_mul_ps(_mm256_sub_ps(gd, acc), t_before));
-        dl_dalpha = _mm256_and_ps(dl_dalpha, grad);
-
-        a_op = _mm256_fmadd_ps(gval, dl_dalpha, a_op);
-        __m256 dl_dpower = _mm256_mul_ps(alpha, dl_dalpha);
-        __m256 mx = _mm256_mul_ps(vdx, dl_dpower);
-        __m256 my = _mm256_mul_ps(vdy, dl_dpower);
-        a_sx = _mm256_add_ps(a_sx, mx);
-        a_sy = _mm256_add_ps(a_sy, my);
-        a_sxx = _mm256_fmadd_ps(vdx, mx, a_sxx);
-        a_sxy = _mm256_fmadd_ps(vdx, my, a_sxy);
-        a_syy = _mm256_fmadd_ps(vdy, my, a_syy);
-
-        // acc' = gd alpha + acc (1 - alpha) on blend lanes.
-        __m256 acc_new = _mm256_blendv_ps(
-            acc, _mm256_fmadd_ps(gd, alpha, _mm256_mul_ps(acc, om)),
-            blend);
-        if (m == 8) {
-            _mm256_storeu_ps(px.T + i, T_new);
-            _mm256_storeu_ps(px.acc + i, acc_new);
-        } else {
-            _mm256_maskstore_ps(px.T + i, lane_mask, T_new);
-            _mm256_maskstore_ps(px.acc + i, lane_mask, acc_new);
+            storeBlend(st.acc + p, acc,
+                       _mm256_add_ps(_mm256_mul_ps(gd, alpha),
+                                     _mm256_mul_ps(acc, om)),
+                       blend);
         }
     }
 
-    if (!any)
-        return;
-    out.dR += sum8(a_r);
-    out.dG += sum8(a_g);
-    out.dB += sum8(a_b);
-    out.dDepth += sum8(a_d);
-    out.dOp += sum8(a_op);
-    out.sX += sum8(a_sx);
-    out.sY += sum8(a_sy);
-    out.sXX += sum8(a_sxx);
-    out.sXY += sum8(a_sxy);
-    out.sYY += sum8(a_syy);
+    alignas(16) Real s[12];
+    _mm_store_ps(s, reduce4(a_r, a_g, a_b, a_d));
+    _mm_store_ps(s + 4, reduce4(a_op, a_sx, a_sy, a_sxx));
+    _mm_store_ps(s + 8, reduce4(a_sxy, a_syy, zero, zero));
+    BackwardSplatAccum out;
+    out.dR = s[0];
+    out.dG = s[1];
+    out.dB = s[2];
+    out.dDepth = s[3];
+    out.dOp = s[4];
+    out.sX = s[5];
+    out.sY = s[6];
+    out.sXX = s[7];
+    out.sXY = s[8];
+    out.sYY = s[9];
+    return out;
 }
 
-const RowKernels kAvx2Exact{forwardRowAvx2<expFaithful8>,
-                            backwardRowAvx2<expFaithful8>, "avx2-exact"};
-const RowKernels kAvx2Approx{forwardRowAvx2<expApprox8>,
-                             backwardRowAvx2<expApprox8>, "avx2-approx"};
-
-} // namespace
-
-const RowKernels *
-rowKernelsAvx2(bool approx_exp)
-{
-    return approx_exp ? &kAvx2Approx : &kAvx2Exact;
-}
-
-bool
-expBatchAvx2(const Real *x, Real *out, size_t n, bool approx)
+template <__m256 (*EXP8)(__m256)>
+void
+expBatchAvx2(const Real *x, Real *out, size_t n)
 {
     size_t i = 0;
-    const __m256 lo = _mm256_set1_ps(-87.0f);
-    for (; i + 8 <= n; i += 8) {
-        __m256 v = _mm256_max_ps(lo, _mm256_loadu_ps(x + i));
-        _mm256_storeu_ps(out + i, approx ? expApprox8(v)
-                                         : expFaithful8(v));
-    }
+    for (; i + 8 <= n; i += 8)
+        _mm256_storeu_ps(out + i, EXP8(_mm256_loadu_ps(x + i)));
     if (i < n) {
         Real buf_in[8] = {};
         Real buf_out[8];
         for (size_t j = i; j < n; ++j)
             buf_in[j - i] = x[j];
-        __m256 v = _mm256_max_ps(lo, _mm256_loadu_ps(buf_in));
-        _mm256_storeu_ps(buf_out, approx ? expApprox8(v)
-                                         : expFaithful8(v));
+        _mm256_storeu_ps(buf_out, EXP8(_mm256_loadu_ps(buf_in)));
         for (size_t j = i; j < n; ++j)
             out[j] = buf_out[j - i];
     }
-    return true;
+}
+
+const SplatKernels kAvx2Precise{forwardSplatAvx2<expExact8>,
+                              backwardSplatAvx2<expExact8>,
+                              expBatchAvx2<expExact8>, "avx2-exact"};
+const SplatKernels kAvx2Approx{forwardSplatAvx2<expApprox8>,
+                               backwardSplatAvx2<expApprox8>,
+                               expBatchAvx2<expApprox8>, "avx2-approx"};
+
+} // namespace
+
+const SplatKernels *
+splatKernelsAvx2(bool approx_exp)
+{
+    return approx_exp ? &kAvx2Approx : &kAvx2Precise;
 }
 
 } // namespace rtgs::gs
@@ -480,16 +458,10 @@ expBatchAvx2(const Real *x, Real *out, size_t n, bool approx)
 namespace rtgs::gs
 {
 
-const RowKernels *
-rowKernelsAvx2(bool)
+const SplatKernels *
+splatKernelsAvx2(bool)
 {
     return nullptr; // toolchain built this TU without AVX2 support
-}
-
-bool
-expBatchAvx2(const Real *, Real *, size_t, bool)
-{
-    return false;
 }
 
 } // namespace rtgs::gs

@@ -108,12 +108,12 @@ struct SlamConfig
 
     /**
      * Approximation-ladder rung (gs::PipelinePreset). `precise` (the
-     * default) keeps today's byte-exact scalar pipeline; `fast`
-     * dispatches the SIMD row kernels with a faithfully-rounded exp;
-     * `fastest_approx` adds the polynomial exp and stores the cloud's
-     * colour/opacity columns as fp16. Applied to the render pipeline
-     * and the authoritative cloud at construction; COW snapshots and
-     * tracking clones inherit the storage precision automatically.
+     * default) runs the splat kernels with the exact exp and gives the
+     * same bytes under AVX2 and scalar dispatch; `fastest_approx`
+     * swaps in the polynomial exp and stores the cloud's colour/opacity
+     * columns as fp16. Applied to the render pipeline and the
+     * authoritative cloud at construction; COW snapshots and tracking
+     * clones inherit the storage precision automatically.
      */
     gs::PipelineConfig pipeline;
 

@@ -1,13 +1,16 @@
 /**
  * @file
- * Contract tests for the approximate-computing ladder (ISSUE 7):
+ * Contract tests for the approximate-computing ladder:
  *
  *  - the `precise` rung is BITWISE identical to the serial reference
  *    forward pass (the strongest cross-implementation check the repo
- *    has: two independent loop structures, one bit pattern);
- *  - the approx exp honours its <= 16 ulp bound and the faithful exp
- *    its <= 1 ulp bound over the live power range, on whatever path
- *    the process dispatches to (AVX2 or scalar);
+ *    has: two independent loop structures, one bit pattern), and gives
+ *    the same bytes under AVX2 and scalar dispatch: the exact exp, the
+ *    forward outputs, the backward's per-splat records and a whole
+ *    MonoGS run;
+ *  - the approx exp honours its <= 16 ulp bound and the exact exp its
+ *    <= 1 ulp bound over the live power range, on whatever path the
+ *    process dispatches to (AVX2 or scalar);
  *  - fp16 column round-trips stay within half-ulp-of-format bounds,
  *    and the packed CowColumn keeps COW semantics;
  *  - every rung is bitwise deterministic across 1/2/4 render workers.
@@ -23,9 +26,12 @@
 #include "common/halffloat.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
+#include "data/dataset.hh"
+#include "gs/backward.hh"
 #include "gs/reference.hh"
 #include "gs/render_pipeline.hh"
 #include "gs/row_kernels.hh"
+#include "slam/pipeline.hh"
 
 namespace rtgs::gs
 {
@@ -107,6 +113,127 @@ renderWith(const SimdScene &scene, PipelinePreset preset,
     return pipe.forward(cloud, scene.camera);
 }
 
+/** Bitwise compare of two equally sized buffers of T. */
+template <typename T>
+bool
+sameBytes(const T *a, const T *b, size_t n)
+{
+    return std::memcmp(a, b, n * sizeof(T)) == 0;
+}
+
+/** One `precise` forward plus the backward's per-splat records. */
+struct PreciseRun
+{
+    ForwardContext fwd;
+    std::vector<SplatGradRecord> records;
+};
+
+/**
+ * Render the scene under `precise` at an explicit dispatch level and
+ * run the splat-major backward over every tile, with adjoints drawn
+ * from a fixed seed (every seventh pixel zero, to exercise the
+ * zero-adjoint skip).
+ */
+PreciseRun
+runPreciseAt(const SimdScene &scene, SimdLevel level)
+{
+    ScopedSimdLevel pin(level);
+    RenderSettings settings;
+    settings.background = {0.1f, 0.2f, 0.3f};
+    settings.pipeline.preset = PipelinePreset::Precise;
+    RenderPipeline pipe(settings);
+    PreciseRun run{pipe.forward(scene.cloud, scene.camera), {}};
+    const ForwardContext &f = run.fwd;
+
+    ImageRGB dl_dcolor(f.grid.width, f.grid.height);
+    ImageF dl_ddepth(f.grid.width, f.grid.height);
+    Rng rng(99);
+    for (size_t i = 0; i < dl_dcolor.pixelCount(); ++i) {
+        const bool zero = i % 7 == 0;
+        for (int c = 0; c < 3; ++c)
+            dl_dcolor[i][c] =
+                zero ? Real(0) : static_cast<Real>(rng.uniform(-0.5, 0.5));
+        dl_ddepth[i] =
+            zero ? Real(0) : static_cast<Real>(rng.uniform(-0.1, 0.1));
+    }
+    run.records.resize(f.bins.indices.size());
+    for (u32 t = 0; t < f.grid.tileCount(); ++t)
+        backwardTileSplatMajor(t, f.projected, f.bins, f.grid, settings,
+                               f.result, dl_dcolor, &dl_ddepth,
+                               run.records.data());
+    return run;
+}
+
+/** FNV-1a over a byte range. */
+u64
+fnv1a(const void *bytes, size_t n, u64 hash)
+{
+    const unsigned char *p = static_cast<const unsigned char *>(bytes);
+    for (size_t i = 0; i < n; ++i) {
+        hash ^= p[i];
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
+/**
+ * Trajectory+map FNV of a 16-frame MonoGS run (slambench's `single`
+ * configuration on a smaller scene) at an explicit dispatch level.
+ */
+u64
+monoGsRunHash(SimdLevel level)
+{
+    ScopedSimdLevel pin(level);
+    data::DatasetSpec spec = data::DatasetSpec::tumLike(Real(0.15));
+    spec.trajectory.frameCount = 16;
+    spec.trajectory.revolutions = Real(0.032);
+    data::SyntheticDataset ds(spec);
+    slam::SlamConfig cfg =
+        slam::SlamConfig::forAlgorithm(slam::BaseAlgorithm::MonoGs);
+    cfg.tracker.iterations = 10;
+    cfg.tracker.earlyStop = false;
+    cfg.mapper.iterations = 12;
+    cfg.kfInterval = 4;
+    slam::SlamSystem sys(cfg, ds.intrinsics());
+    for (u32 f = 0; f < ds.frameCount(); ++f)
+        sys.processFrame(ds.frame(f));
+
+    u64 hash = 1469598103934665603ull;
+    for (const SE3 &pose : sys.trajectory()) {
+        hash = fnv1a(&pose.rot, sizeof(pose.rot), hash);
+        hash = fnv1a(&pose.trans, sizeof(pose.trans), hash);
+    }
+    const GaussianCloud &cloud = sys.cloud();
+    auto mix = [&hash](const auto &column) {
+        using T = typename std::decay_t<decltype(column)>::value_type;
+        if (column.size())
+            hash = fnv1a(column.data(), column.size() * sizeof(T), hash);
+    };
+    mix(cloud.positions);
+    mix(cloud.logScales);
+    mix(cloud.rotations);
+    mix(cloud.opacityLogits);
+    mix(cloud.shCoeffs);
+    mix(cloud.active);
+    return hash;
+}
+
+/**
+ * The precise table the CPU can run above scalar, or nullptr when the
+ * CPU or the binary has no AVX2 kernels. Gated on the detected level,
+ * not the active one, so RTGS_SIMD=scalar still compares both paths.
+ */
+const SplatKernels *
+preciseAvx2Kernels()
+{
+    const SplatKernels &k =
+        selectSplatKernels(PipelinePreset::Precise, detectedSimdLevel());
+    return &k == &selectSplatKernels(PipelinePreset::Precise,
+                                     SimdLevel::Scalar)
+               ? nullptr
+               : &k;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -140,8 +267,38 @@ TEST_P(SimdPrecise, BitwiseMatchesSerialReference)
     }
 }
 
+TEST_P(SimdPrecise, ScalarAndAvx2KernelsGiveSameBytes)
+{
+    if (!preciseAvx2Kernels())
+        GTEST_SKIP() << "no AVX2 kernels on this CPU or binary";
+    SimdScene scene(GetParam());
+    PreciseRun scalar = runPreciseAt(scene, SimdLevel::Scalar);
+    PreciseRun avx2 = runPreciseAt(scene, SimdLevel::Avx2);
+
+    const RenderResult &a = scalar.fwd.result, &b = avx2.fwd.result;
+    const size_t n = a.image.pixelCount();
+    ASSERT_EQ(n, b.image.pixelCount());
+    EXPECT_TRUE(bitIdentical(a.image, b.image));
+    EXPECT_TRUE(sameBytes(a.depth.data(), b.depth.data(), n));
+    EXPECT_TRUE(sameBytes(a.finalT.data(), b.finalT.data(), n));
+    EXPECT_TRUE(sameBytes(a.nContrib.data(), b.nContrib.data(), n));
+    EXPECT_TRUE(sameBytes(a.nBlended.data(), b.nBlended.data(), n));
+    ASSERT_EQ(scalar.records.size(), avx2.records.size());
+    ASSERT_FALSE(scalar.records.empty());
+    EXPECT_TRUE(sameBytes(scalar.records.data(), avx2.records.data(),
+                          scalar.records.size()));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SimdPrecise,
                          ::testing::Values(3u, 17u, 88u, 2026u));
+
+TEST(SimdDispatch, MonoGsRunSameFnvAtBothLevels)
+{
+    if (!preciseAvx2Kernels())
+        GTEST_SKIP() << "no AVX2 kernels on this CPU or binary";
+    EXPECT_EQ(monoGsRunHash(SimdLevel::Scalar),
+              monoGsRunHash(SimdLevel::Avx2));
+}
 
 // ---------------------------------------------------------------------
 // exp contracts over the live power range
@@ -156,7 +313,8 @@ TEST(SimdExp, ApproxWithinSixteenUlpOverLiveRange)
     for (size_t i = 0; i < kN; ++i)
         x[i] = Real(-5.6) * static_cast<Real>(i) /
                static_cast<Real>(kN - 1);
-    expApproxBatch(x.data(), y.data(), kN);
+    selectSplatKernels(PipelinePreset::FastestApprox, activeSimdLevel())
+        .expBatch(x.data(), y.data(), kN);
     u32 max_ulp = 0;
     for (size_t i = 0; i < kN; ++i) {
         float exact = std::exp(x[i]);
@@ -179,11 +337,41 @@ TEST(SimdExp, FaithfulWithinOneUlpOverLiveRange)
     for (size_t i = 0; i < kN; ++i)
         x[i] = Real(-5.6) * static_cast<Real>(i) /
                static_cast<Real>(kN - 1);
-    expFaithfulBatch(x.data(), y.data(), kN);
+    selectSplatKernels(PipelinePreset::Precise, activeSimdLevel())
+        .expBatch(x.data(), y.data(), kN);
     u32 max_ulp = 0;
     for (size_t i = 0; i < kN; ++i)
         max_ulp = std::max(max_ulp, ulpDiff(y[i], std::exp(x[i])));
     EXPECT_LE(max_ulp, 1u) << "faithful exp out of contract";
+}
+
+TEST(SimdExp, ExactTwinsBitwiseEqualOverFloatSweep)
+{
+    // Every 997th float bit pattern from -0 down to -87 (~1.1M inputs).
+    const float lo = -87.0f;
+    u32 last;
+    std::memcpy(&last, &lo, 4);
+    std::vector<Real> x;
+    for (u64 bits = 0x80000000u; bits <= last; bits += 997) {
+        const u32 b = static_cast<u32>(bits);
+        Real v;
+        std::memcpy(&v, &b, 4);
+        x.push_back(v);
+    }
+    std::vector<Real> scalar(x.size()), avx2(x.size());
+    for (size_t i = 0; i < x.size(); ++i)
+        scalar[i] = expExact(x[i]);
+
+    u32 max_ulp = 0;
+    for (size_t i = 0; i < x.size(); ++i)
+        max_ulp = std::max(max_ulp, ulpDiff(scalar[i], std::exp(x[i])));
+    EXPECT_LE(max_ulp, 1u) << "exact exp out of contract";
+
+    const SplatKernels *k = preciseAvx2Kernels();
+    if (!k)
+        GTEST_SKIP() << "no AVX2 kernels on this CPU or binary";
+    k->expBatch(x.data(), avx2.data(), x.size());
+    EXPECT_TRUE(sameBytes(scalar.data(), avx2.data(), x.size()));
 }
 
 // ---------------------------------------------------------------------
@@ -280,7 +468,7 @@ TEST_P(SimdDeterminism, BitwiseAcrossWorkerCounts)
 
 INSTANTIATE_TEST_SUITE_P(
     Rungs, SimdDeterminism,
-    ::testing::Values(PipelinePreset::Precise, PipelinePreset::Fast,
+    ::testing::Values(PipelinePreset::Precise,
                       PipelinePreset::FastestApprox),
     [](const ::testing::TestParamInfo<PipelinePreset> &info) {
         return std::string(pipelinePresetName(info.param)) ==
@@ -290,34 +478,26 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// rung sanity: the fast rungs stay close to precise
+// rung sanity: fastest_approx stays close to precise
 // ---------------------------------------------------------------------
 
-TEST(SimdLadder, FastRungsTrackPrecise)
+TEST(SimdLadder, FastestApproxTracksPrecise)
 {
     SimdScene scene(11);
     ForwardContext precise =
         renderWith(scene, PipelinePreset::Precise, nullptr);
-    ForwardContext fast =
-        renderWith(scene, PipelinePreset::Fast, nullptr);
     ForwardContext approx =
         renderWith(scene, PipelinePreset::FastestApprox, nullptr);
 
-    double max_fast = 0, max_approx = 0;
+    double max_approx = 0;
     for (size_t i = 0; i < precise.result.image.pixelCount(); ++i) {
         for (int c = 0; c < 3; ++c) {
-            max_fast = std::max(
-                max_fast,
-                std::abs(double(fast.result.image[i][c]) -
-                         double(precise.result.image[i][c])));
             max_approx = std::max(
                 max_approx,
                 std::abs(double(approx.result.image[i][c]) -
                          double(precise.result.image[i][c])));
         }
     }
-    // `fast` only reassociates fp32 blending (exp faithful): tiny.
-    EXPECT_LE(max_fast, 1e-4);
     // `fastest_approx` adds ~2e-7 exp error and fp16 colour/opacity
     // storage (relative 2^-11): still visually lossless territory.
     EXPECT_LE(max_approx, 2e-2);

@@ -41,10 +41,12 @@ into mechanical checks over the source tree:
                         buffer accessor (data/view/mut/begin/end/
                         operator[]) must call assertFull() before
                         touching storage.
-  double-accum          No `double` arithmetic in the float row kernels
-                        (src/gs/row_kernels*): precision drift between
-                        rungs breaks the A/B ladder comparisons. The
-                        faithfully-rounded exp is the sanctioned,
+  double-accum          No `double` arithmetic in the float splat
+                        kernels (src/gs/row_kernels*): precision drift
+                        between rungs breaks the A/B ladder
+                        comparisons. The exact exp (expExact and its
+                        AVX2 twin, which widen one value to double and
+                        narrow it back once) is the sanctioned,
                         marker-delimited exception.
   tsan-filter           Every test file that uses ThreadPool /
                         MapWorker / FleetRuntime must have at least
@@ -296,7 +298,7 @@ def lint_file(src, relpath):
                 "scheduler's back")
         if is_row_kernel and DOUBLE_RE.search(line):
             hit(lineno, "double-accum",
-                "double-precision arithmetic in a float row kernel; "
+                "double-precision arithmetic in a float splat kernel; "
                 "widening accumulators drifts the rung A/B contracts — "
                 "keep kernels fp32 (see the sanctioned exp exception)")
 
