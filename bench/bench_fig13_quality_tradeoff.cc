@@ -173,7 +173,7 @@ main()
         core::RtgsSlamConfig cfg = benchConfig(slam::BaseAlgorithm::MonoGs);
         cfg.enableDownsampling = false;
         cfg.pruner.maxPruneRatio = 0.5f;
-        cfg.base.pipeline.preset = preset;
+        cfg.base.preset = preset;
         RunOutcome run = runSequence(ds, cfg);
         rungs.push_back({gs::pipelinePresetName(preset),
                          run.wallSeconds, run.psnrDb, run.ateRmse * 100,

@@ -27,7 +27,6 @@ queryCpuFeatures()
     if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx))
         return f;
     f.fma = (ecx & (1u << 12)) != 0;
-    f.f16c = (ecx & (1u << 29)) != 0;
     const bool osxsave = (ecx & (1u << 27)) != 0;
     if (osxsave) {
         // XGETBV(0): bits 1 (SSE) and 2 (AVX) must both be OS-enabled

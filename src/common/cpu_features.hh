@@ -5,7 +5,7 @@
  *
  * Kernel selection is a *runtime* decision: the library always builds
  * the scalar kernels with the baseline flags, the AVX2 kernels live in
- * one translation unit compiled with -mavx2/-mfma/-mf16c, and the
+ * one translation unit compiled with -mavx2/-mfma, and the
  * dispatcher picks between them per process from CPUID (never from the
  * compiler flags of the calling TU). The RTGS_SIMD environment variable
  * can force a lower level ("scalar") so both dispatch paths are
@@ -25,7 +25,6 @@ struct CpuFeatures
 {
     bool avx2 = false; //!< AVX2 integer/float 256-bit ops
     bool fma = false;  //!< FMA3
-    bool f16c = false; //!< hardware fp16 <-> fp32 conversion
     bool osAvx = false; //!< OS saves/restores YMM state (XGETBV)
 };
 

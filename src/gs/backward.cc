@@ -264,7 +264,7 @@ backwardTileSplatMajor(u32 tile, const ProjectedCloud &projected,
                                bw_dlR.data(), bw_dlG.data(), bw_dlB.data(),
                                bw_dlD.data(), bw_ce.data()};
 
-    const SplatKernels &kern = selectSplatKernels(settings.pipeline);
+    const SplatKernels &kern = selectSplatKernels(settings.preset);
     const SplatKernelCtx ctx{settings.alphaMin, settings.alphaMax,
                              settings.transmittanceEps};
 

@@ -53,10 +53,8 @@ GaussianCloud::push(const Vec3f &pos, const Vec3f &log_scale,
     positions.mut().push_back(pos);
     logScales.mut().push_back(log_scale);
     rotations.mut().push_back(rot);
-    // Colour/opacity may be stored packed (fp16); pushBack narrows
-    // at the column's storage precision.
-    opacityLogits.pushBack(opacity_logit);
-    shCoeffs.pushBack(sh);
+    opacityLogits.mut().push_back(opacity_logit);
+    shCoeffs.mut().push_back(sh);
     active.mut().push_back(1);
     ids.mut().push_back(nextId_++);
 }
@@ -114,8 +112,8 @@ GaussianCloud::reserve(size_t n)
     positions.mut().reserve(n);
     logScales.mut().reserve(n);
     rotations.mut().reserve(n);
-    opacityLogits.reserveElems(n);
-    shCoeffs.reserveElems(n);
+    opacityLogits.mut().reserve(n);
+    shCoeffs.mut().reserve(n);
     active.mut().reserve(n);
     ids.mut().reserve(n);
 }
@@ -126,8 +124,8 @@ GaussianCloud::clear()
     positions.mut().clear();
     logScales.mut().clear();
     rotations.mut().clear();
-    opacityLogits.clearElems();
-    shCoeffs.clearElems();
+    opacityLogits.mut().clear();
+    shCoeffs.mut().clear();
     active.mut().clear();
     ids.mut().clear();
 }
@@ -135,12 +133,10 @@ GaussianCloud::clear()
 size_t
 GaussianCloud::parameterBytes() const
 {
-    // Sum the active representations so fp16 columns report their
-    // halved footprint. (The stable-id column is COW bookkeeping, not a
-    // model parameter.)
-    return positions.byteSize() + logScales.byteSize() +
-           rotations.byteSize() + opacityLogits.byteSize() +
-           shCoeffs.byteSize() + active.byteSize();
+    // Every parameter column holds size() elements. (The stable-id
+    // column is COW bookkeeping, not a model parameter.)
+    return size() * (sizeof(Vec3f) + sizeof(Vec3f) + sizeof(Quatf) +
+                     sizeof(Real) + sizeof(Vec3f) + sizeof(u8));
 }
 
 size_t

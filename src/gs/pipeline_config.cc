@@ -15,19 +15,4 @@ pipelinePresetName(PipelinePreset preset)
     return "precise";
 }
 
-ColumnPrecision
-presetStoragePrecision(PipelinePreset preset)
-{
-    return preset == PipelinePreset::FastestApprox ? ColumnPrecision::Half
-                                                   : ColumnPrecision::Full;
-}
-
-void
-applyStoragePrecision(GaussianCloud &cloud, const PipelineConfig &config)
-{
-    const ColumnPrecision p = presetStoragePrecision(config.preset);
-    cloud.shCoeffs.setPrecision(p);
-    cloud.opacityLogits.setPrecision(p);
-}
-
 } // namespace rtgs::gs

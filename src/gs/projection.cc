@@ -66,16 +66,13 @@ projectGaussians(const GaussianCloud &cloud, const Camera &camera,
     const Intrinsics &intr = camera.intr;
 
     // Hoist the COW column views once; the loop then reads plain
-    // vectors (no per-access shared-pointer indirection). Colour and
-    // opacity may be stored packed (fp16), so those two go through
-    // load() — the widen-on-load boundary of the mixed-precision
-    // contract: everything downstream of here is fp32.
+    // vectors (no per-access shared-pointer indirection).
     const auto &active = cloud.active.view();
     const auto &positions = cloud.positions.view();
     const auto &rotations = cloud.rotations.view();
     const auto &log_scales = cloud.logScales.view();
-    const auto &sh_coeffs = cloud.shCoeffs;
-    const auto &opacity_logits = cloud.opacityLogits;
+    const auto &sh_coeffs = cloud.shCoeffs.view();
+    const auto &opacity_logits = cloud.opacityLogits.view();
 
     // Each Gaussian writes only its own record, so the loop is
     // embarrassingly parallel and deterministic.
@@ -147,10 +144,10 @@ projectGaussians(const GaussianCloud &cloud, const Camera &camera,
             p.depth = t.z;
             p.cov2d = cov2d;
             p.conic = conic;
-            p.opacity = sigmoid(opacity_logits.load(k));
+            p.opacity = sigmoid(opacity_logits[k]);
             p.powerSkip = expSkipBound(p.opacity, settings.alphaMin);
 
-            Vec3f raw = sh_coeffs.load(k) * shC0 + Vec3f{0.5f, 0.5f, 0.5f};
+            Vec3f raw = sh_coeffs[k] * shC0 + Vec3f{0.5f, 0.5f, 0.5f};
             p.color = {std::max(Real(0), raw.x), std::max(Real(0), raw.y),
                        std::max(Real(0), raw.z)};
             p.colorClampMask = {raw.x > 0 ? Real(1) : Real(0),

@@ -41,12 +41,10 @@ struct RenderSettings
     /** Splat radius in standard deviations. */
     Real radiusSigma = Real(3);
     /**
-     * Approximation-ladder rung: selects the forward/backward row
-     * kernels (scalar exact vs SIMD exact/approx exp). Storage
-     * precision is the cloud's side of the same preset — see
-     * applyStoragePrecision().
+     * Approximation-ladder rung: selects the forward/backward splat
+     * kernels (exact vs polynomial exp).
      */
-    PipelineConfig pipeline;
+    PipelinePreset preset = PipelinePreset::Precise;
 };
 
 /** A projected (2D) Gaussian: the per-Gaussian outputs of Step 1. */

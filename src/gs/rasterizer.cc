@@ -122,7 +122,7 @@ rasterizeTile(u32 tile, const ProjectedCloud &projected,
                               st_term.data()};
     u32 alive = n_px;
 
-    const SplatKernels &kern = selectSplatKernels(settings.pipeline);
+    const SplatKernels &kern = selectSplatKernels(settings.preset);
     const SplatKernelCtx ctx{alpha_min, alpha_max, t_eps};
 
     for (u32 s = 0; s < n_splats && alive > 0; ++s) {

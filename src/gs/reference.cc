@@ -81,7 +81,7 @@ projectGaussiansReference(const GaussianCloud &cloud, const Camera &camera,
         p.conic = cov_blur.inverse();
         p.opacity = cloud.opacity(k);
 
-        Vec3f raw = cloud.shCoeffs.load(k) * shC0 + Vec3f{0.5f, 0.5f, 0.5f};
+        Vec3f raw = cloud.shCoeffs[k] * shC0 + Vec3f{0.5f, 0.5f, 0.5f};
         p.color = {std::max(Real(0), raw.x), std::max(Real(0), raw.y),
                    std::max(Real(0), raw.z)};
         p.colorClampMask = {raw.x > 0 ? Real(1) : Real(0),

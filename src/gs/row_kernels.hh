@@ -153,9 +153,9 @@ const SplatKernels &selectSplatKernels(PipelinePreset preset,
 
 /** Dispatch at the process's active SIMD level (CPUID + RTGS_SIMD). */
 inline const SplatKernels &
-selectSplatKernels(const PipelineConfig &config)
+selectSplatKernels(PipelinePreset preset)
 {
-    return selectSplatKernels(config.preset, activeSimdLevel());
+    return selectSplatKernels(preset, activeSimdLevel());
 }
 
 /**

@@ -94,20 +94,16 @@ MapOptimizer::step(gs::GaussianCloud &cloud, const gs::CloudGrads &grads)
 
     // One re-materialisation per mutated COW column up front (a no-op
     // while the cloud is unshared), not one aliasing check per lane.
-    // Colour/opacity go through load/store because those columns may be
-    // packed (fp16); Adam moments and the update arithmetic stay
-    // fp32 — only the stored parameter is narrowed.
     const auto &active = cloud.active.view();
     auto &positions = cloud.positions.mut();
     auto &log_scales = cloud.logScales.mut();
     auto &rotations = cloud.rotations.mut();
-    auto &opacity_logits = cloud.opacityLogits;
-    auto &sh_coeffs = cloud.shCoeffs;
+    auto &opacity_logits = cloud.opacityLogits.mut();
+    auto &sh_coeffs = cloud.shCoeffs.mut();
 
     for (size_t k = 0; k < cloud.size(); ++k) {
         if (!active[k])
             continue;
-        Vec3f sh = sh_coeffs.load(k);
         for (int c = 0; c < 3; ++c) {
             positions[k][c] +=
                 adamLane(grads.dPositions[k][c], mPos_[k][c], vPos_[k][c],
@@ -115,11 +111,10 @@ MapOptimizer::step(gs::GaussianCloud &cloud, const gs::CloudGrads &grads)
             log_scales[k][c] +=
                 adamLane(grads.dLogScales[k][c], mScale_[k][c],
                          vScale_[k][c], lrs_.logScale, adam_, bias1, bias2);
-            sh[c] +=
+            sh_coeffs[k][c] +=
                 adamLane(grads.dShCoeffs[k][c], mSh_[k][c], vSh_[k][c],
                          lrs_.sh, adam_, bias1, bias2);
         }
-        sh_coeffs.store(k, sh);
         rotations[k].w +=
             adamLane(grads.dRotations[k].w, mRot_[k].w, vRot_[k].w,
                      lrs_.rotation, adam_, bias1, bias2);
@@ -132,12 +127,12 @@ MapOptimizer::step(gs::GaussianCloud &cloud, const gs::CloudGrads &grads)
         rotations[k].z +=
             adamLane(grads.dRotations[k].z, mRot_[k].z, vRot_[k].z,
                      lrs_.rotation, adam_, bias1, bias2);
-        Real logit = opacity_logits.load(k);
-        logit +=
+        opacity_logits[k] +=
             adamLane(grads.dOpacityLogits[k], mOpa_[k], vOpa_[k],
                      lrs_.opacity, adam_, bias1, bias2);
         // Clamp the raw parameters to sane numeric ranges.
-        opacity_logits.store(k, std::clamp(logit, Real(-9), Real(9)));
+        opacity_logits[k] =
+            std::clamp(opacity_logits[k], Real(-9), Real(9));
         for (int c = 0; c < 3; ++c) {
             log_scales[k][c] =
                 std::clamp(log_scales[k][c], Real(-8), Real(2));

@@ -102,19 +102,8 @@ SlamSystem::SlamSystem(const SlamConfig &config,
 {
     gs::RenderSettings settings;
     settings.background = {0.03f, 0.03f, 0.05f};
-    settings.pipeline = config.pipeline;
+    settings.preset = config.preset;
     pipeline_ = gs::RenderPipeline(settings);
-
-    {
-        // No worker can exist yet; the lock just keeps the guarded
-        // accesses uniform for the static analysis.
-        MutexLock lock(stateMutex_);
-        // The preset's storage side: narrow the low-sensitivity columns
-        // of the authoritative cloud. Every COW snapshot / tracking
-        // clone copies the column (and its precision) wholesale, so
-        // this single application covers the whole system's storage.
-        gs::applyStoragePrecision(cloud_, config.pipeline);
-    }
 
     switch (config.algorithm) {
       case BaseAlgorithm::GsSlam:

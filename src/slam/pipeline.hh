@@ -107,15 +107,13 @@ struct SlamConfig
     RelocalizerConfig reloc;
 
     /**
-     * Approximation-ladder rung (gs::PipelinePreset). `precise` (the
-     * default) runs the splat kernels with the exact exp and gives the
-     * same bytes under AVX2 and scalar dispatch; `fastest_approx`
-     * swaps in the polynomial exp and stores the cloud's colour/opacity
-     * columns as fp16. Applied to the render pipeline and the
-     * authoritative cloud at construction; COW snapshots and tracking
-     * clones inherit the storage precision automatically.
+     * Approximation-ladder rung, applied to the render pipeline at
+     * construction. `precise` (the default) runs the splat kernels
+     * with the exact exp and gives the same bytes under AVX2 and
+     * scalar dispatch; `fastest_approx` swaps in the polynomial exp
+     * and changes nothing else.
      */
-    gs::PipelineConfig pipeline;
+    gs::PipelinePreset preset = gs::PipelinePreset::Precise;
 
     /** Build the per-profile default configuration. */
     static SlamConfig forAlgorithm(BaseAlgorithm algo);

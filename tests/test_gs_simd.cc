@@ -11,9 +11,10 @@
  *  - the approx exp honours its <= 16 ulp bound and the exact exp its
  *    <= 1 ulp bound over the live power range, on whatever path the
  *    process dispatches to (AVX2 or scalar);
- *  - fp16 column round-trips stay within half-ulp-of-format bounds,
- *    and the packed CowColumn keeps COW semantics;
- *  - every rung is bitwise deterministic across 1/2/4 render workers.
+ *  - every rung is bitwise deterministic across 1/2/4 render workers,
+ *    for one forward pass and for a whole MonoGS run;
+ *  - `fastest_approx`, which differs from `precise` only in its exp,
+ *    stays within that exp's error of `precise`.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "common/cpu_features.hh"
-#include "common/halffloat.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "data/dataset.hh"
@@ -104,13 +104,11 @@ renderWith(const SimdScene &scene, PipelinePreset preset,
 {
     RenderSettings settings;
     settings.background = {0.1f, 0.2f, 0.3f};
-    settings.pipeline.preset = preset;
+    settings.preset = preset;
     RenderPipeline pipe(settings);
     if (pool)
         pipe.setPool(pool);
-    GaussianCloud cloud = scene.cloud;
-    applyStoragePrecision(cloud, settings.pipeline);
-    return pipe.forward(cloud, scene.camera);
+    return pipe.forward(scene.cloud, scene.camera);
 }
 
 /** Bitwise compare of two equally sized buffers of T. */
@@ -140,7 +138,7 @@ runPreciseAt(const SimdScene &scene, SimdLevel level)
     ScopedSimdLevel pin(level);
     RenderSettings settings;
     settings.background = {0.1f, 0.2f, 0.3f};
-    settings.pipeline.preset = PipelinePreset::Precise;
+    settings.preset = PipelinePreset::Precise;
     RenderPipeline pipe(settings);
     PreciseRun run{pipe.forward(scene.cloud, scene.camera), {}};
     const ForwardContext &f = run.fwd;
@@ -178,10 +176,12 @@ fnv1a(const void *bytes, size_t n, u64 hash)
 
 /**
  * Trajectory+map FNV of a 16-frame MonoGS run (slambench's `single`
- * configuration on a smaller scene) at an explicit dispatch level.
+ * configuration on a smaller scene) at an explicit dispatch level and
+ * preset, rendering on `pool` (the global pool when null). Hashes the
+ * raw column bytes through data(), as slambench's outputHash does.
  */
 u64
-monoGsRunHash(SimdLevel level)
+monoGsRunHash(SimdLevel level, PipelinePreset preset, ThreadPool *pool)
 {
     ScopedSimdLevel pin(level);
     data::DatasetSpec spec = data::DatasetSpec::tumLike(Real(0.15));
@@ -194,7 +194,10 @@ monoGsRunHash(SimdLevel level)
     cfg.tracker.earlyStop = false;
     cfg.mapper.iterations = 12;
     cfg.kfInterval = 4;
+    cfg.preset = preset;
     slam::SlamSystem sys(cfg, ds.intrinsics());
+    if (pool)
+        sys.setRenderPool(pool);
     for (u32 f = 0; f < ds.frameCount(); ++f)
         sys.processFrame(ds.frame(f));
 
@@ -249,7 +252,7 @@ TEST_P(SimdPrecise, BitwiseMatchesSerialReference)
     SimdScene scene(GetParam());
     RenderSettings settings;
     settings.background = {0.1f, 0.2f, 0.3f};
-    settings.pipeline.preset = PipelinePreset::Precise;
+    settings.preset = PipelinePreset::Precise;
 
     ReferenceForward ref =
         forwardReference(scene.cloud, scene.camera, settings);
@@ -296,8 +299,9 @@ TEST(SimdDispatch, MonoGsRunSameFnvAtBothLevels)
 {
     if (!preciseAvx2Kernels())
         GTEST_SKIP() << "no AVX2 kernels on this CPU or binary";
-    EXPECT_EQ(monoGsRunHash(SimdLevel::Scalar),
-              monoGsRunHash(SimdLevel::Avx2));
+    EXPECT_EQ(
+        monoGsRunHash(SimdLevel::Scalar, PipelinePreset::Precise, nullptr),
+        monoGsRunHash(SimdLevel::Avx2, PipelinePreset::Precise, nullptr));
 }
 
 // ---------------------------------------------------------------------
@@ -375,73 +379,6 @@ TEST(SimdExp, ExactTwinsBitwiseEqualOverFloatSweep)
 }
 
 // ---------------------------------------------------------------------
-// fp16 conversions and packed-column semantics
-// ---------------------------------------------------------------------
-
-TEST(HalfFloat, RoundTripBoundsFp16)
-{
-    Rng rng(7);
-    // Half-precision RNE: relative error <= 2^-11 for normal range.
-    for (int i = 0; i < 20000; ++i) {
-        float v = static_cast<float>(rng.uniform(-64.0, 64.0));
-        float r = halfBitsToFloat(floatToHalfBits(v));
-        EXPECT_LE(std::abs(r - v),
-                  std::abs(v) * (1.0f / 2048) + 1e-6f)
-            << "v=" << v;
-    }
-    // Specials.
-    EXPECT_EQ(halfBitsToFloat(floatToHalfBits(0.0f)), 0.0f);
-    EXPECT_TRUE(std::isinf(halfBitsToFloat(floatToHalfBits(1e6f))));
-    EXPECT_TRUE(std::isnan(halfBitsToFloat(floatToHalfBits(NAN))));
-    // Exact values survive exactly.
-    for (float v : {1.0f, -2.5f, 0.125f, 1024.0f})
-        EXPECT_EQ(halfBitsToFloat(floatToHalfBits(v)), v);
-}
-
-TEST(PackedColumn, LoadStoreAndCowSemantics)
-{
-    GaussianCloud cloud;
-    for (int i = 0; i < 10; ++i) {
-        cloud.pushIsotropic({Real(i) * 0.1f, 0, 2}, 0.2f, 0.5f,
-                            {0.3f, 0.6f, 0.9f});
-    }
-    const Vec3f sh0 = cloud.shCoeffs.load(0);
-    cloud.shCoeffs.setPrecision(ColumnPrecision::Half);
-    cloud.opacityLogits.setPrecision(ColumnPrecision::Half);
-    EXPECT_EQ(cloud.shCoeffs.precision(), ColumnPrecision::Half);
-    EXPECT_EQ(cloud.shCoeffs.size(), 10u);
-    // Narrowing error bounded by the fp16 contract.
-    Vec3f got = cloud.shCoeffs.load(0);
-    for (int c = 0; c < 3; ++c)
-        EXPECT_NEAR(got[c], sh0[c], std::abs(sh0[c]) / 2048 + 1e-6f);
-    // Packed byte footprint is half the fp32 one.
-    EXPECT_EQ(cloud.shCoeffs.byteSize(), 10 * 3 * sizeof(u16));
-
-    // COW: a copy shares; store() on the copy unshares only the copy.
-    GaussianCloud snap = cloud;
-    EXPECT_TRUE(snap.shCoeffs.shares(cloud.shCoeffs));
-    snap.shCoeffs.store(3, {1, 2, 3});
-    EXPECT_FALSE(snap.shCoeffs.shares(cloud.shCoeffs));
-    EXPECT_NEAR(snap.shCoeffs.load(3).y, 2.0f, 2.0f / 2048);
-    EXPECT_NE(cloud.shCoeffs.load(3).y, snap.shCoeffs.load(3).y);
-
-    // pushBack / compactKeep on the packed representation.
-    snap.pushIsotropic({0, 0, 3}, 0.2f, 0.4f, {0.1f, 0.2f, 0.3f});
-    EXPECT_EQ(snap.shCoeffs.size(), 11u);
-    std::vector<u8> keep(11, 1);
-    keep[0] = 0;
-    keep[5] = 0;
-    snap.compact(keep);
-    EXPECT_EQ(snap.size(), 9u);
-    EXPECT_EQ(snap.shCoeffs.size(), 9u);
-
-    // Round-trip back to fp32 restores raw access.
-    snap.shCoeffs.setPrecision(ColumnPrecision::Full);
-    EXPECT_EQ(snap.shCoeffs.precision(), ColumnPrecision::Full);
-    (void)snap.shCoeffs.view();
-}
-
-// ---------------------------------------------------------------------
 // worker-count determinism of every rung
 // ---------------------------------------------------------------------
 
@@ -477,30 +414,50 @@ INSTANTIATE_TEST_SUITE_P(
                    : pipelinePresetName(info.param);
     });
 
+TEST(MonoGsRunSimdDeterminism, FastestApproxSameFnvOnOneTwoFourWorkers)
+{
+    // The hash reads every column's raw bytes through data(), so this
+    // also checks that a `fastest_approx` cloud is plain fp32 storage.
+    ThreadPool one(1), two(2), four(4);
+    const SimdLevel level = activeSimdLevel();
+    const u64 a = monoGsRunHash(level, PipelinePreset::FastestApprox, &one);
+    EXPECT_EQ(a, monoGsRunHash(level, PipelinePreset::FastestApprox, &two));
+    EXPECT_EQ(a,
+              monoGsRunHash(level, PipelinePreset::FastestApprox, &four));
+}
+
 // ---------------------------------------------------------------------
 // rung sanity: fastest_approx stays close to precise
 // ---------------------------------------------------------------------
 
 TEST(SimdLadder, FastestApproxTracksPrecise)
 {
-    SimdScene scene(11);
-    ForwardContext precise =
-        renderWith(scene, PipelinePreset::Precise, nullptr);
-    ForwardContext approx =
-        renderWith(scene, PipelinePreset::FastestApprox, nullptr);
+    // `fastest_approx` differs from `precise` only in the splat kernels'
+    // exp: <= 16 ulp, a relative error of at most 16 * 2^-23 ~= 1.9e-6
+    // per alpha. A pixel is a convex blend of colours and background in
+    // [0, 1]; perturbing every alpha by a relative e moves it by at most
+    // 2e to first order, plus a few ulp of fp32 blending. (A fragment
+    // whose alpha lay within that error of alphaMin would be blended by
+    // one rung only and move its pixel by up to alphaMin; these scenes
+    // have none.)
+    for (u64 seed : {11u, 3u, 17u, 88u, 2026u}) {
+        SimdScene scene(seed);
+        ForwardContext precise =
+            renderWith(scene, PipelinePreset::Precise, nullptr);
+        ForwardContext approx =
+            renderWith(scene, PipelinePreset::FastestApprox, nullptr);
 
-    double max_approx = 0;
-    for (size_t i = 0; i < precise.result.image.pixelCount(); ++i) {
-        for (int c = 0; c < 3; ++c) {
-            max_approx = std::max(
-                max_approx,
-                std::abs(double(approx.result.image[i][c]) -
-                         double(precise.result.image[i][c])));
+        double max_approx = 0;
+        for (size_t i = 0; i < precise.result.image.pixelCount(); ++i) {
+            for (int c = 0; c < 3; ++c) {
+                max_approx = std::max(
+                    max_approx,
+                    std::abs(double(approx.result.image[i][c]) -
+                             double(precise.result.image[i][c])));
+            }
         }
+        EXPECT_LE(max_approx, 1e-5) << "seed " << seed;
     }
-    // `fastest_approx` adds ~2e-7 exp error and fp16 colour/opacity
-    // storage (relative 2^-11): still visually lossless territory.
-    EXPECT_LE(max_approx, 2e-2);
     SUCCEED() << "dispatch level: "
               << simdLevelName(activeSimdLevel());
 }

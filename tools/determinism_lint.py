@@ -36,11 +36,6 @@ into mechanical checks over the source tree:
                         are exempt). Members the mutex does not guard
                         belong ABOVE it, or get an explicit allow
                         marker.
-  cow-raw-access        In a class that defines assertFull() (the
-                        CowColumn mixed-precision contract), every raw
-                        buffer accessor (data/view/mut/begin/end/
-                        operator[]) must call assertFull() before
-                        touching storage.
   double-accum          No `double` arithmetic in the float splat
                         kernels (src/gs/row_kernels*): precision drift
                         between rungs breaks the A/B ladder
@@ -97,7 +92,6 @@ ALL_RULES = (
     "monotonic-clock",
     "atomic-float",
     "unguarded-field",
-    "cow-raw-access",
     "double-accum",
     "tsan-filter",
     "global-pool",
@@ -242,8 +236,6 @@ ACCESS_OR_SCOPE_RE = re.compile(
     r"^\s*(public|protected|private)\s*:|^\s*(class|struct)\s+\w+|^\s*};")
 FUNC_HINT_RE = re.compile(r"\)\s*(const)?\s*(noexcept)?\s*({|;|=)")
 
-RAW_ACCESSOR_NAMES = ("data", "view", "mut", "begin", "end", "operator[]")
-
 
 def in_contract_dir(relpath):
     return any(relpath.startswith(d + "/") for d in CONTRACT_DIRS)
@@ -303,7 +295,6 @@ def lint_file(src, relpath):
                 "keep kernels fp32 (see the sanctioned exp exception)")
 
     findings.extend(check_unguarded_fields(src, relpath))
-    findings.extend(check_cow_raw_access(src, relpath))
     return findings
 
 
@@ -346,44 +337,6 @@ def check_unguarded_fields(src, relpath):
                     "member declared after a Mutex lacks "
                     "RTGS_GUARDED_BY; move it above the mutex if the "
                     "mutex does not guard it"))
-    return findings
-
-
-def check_cow_raw_access(src, relpath):
-    """In a class defining assertFull(), raw-buffer accessors must call
-    it before touching storage (the mixed-precision COW contract)."""
-    text = "\n".join(src.code_lines)
-    if not re.search(r"\bassertFull\s*\(\s*\)\s*const", text):
-        return []
-    findings = []
-    accessor_re = re.compile(
-        r"^\s*(?:typename\s+)?[\w:<>&*\s]*?\b"
-        r"(data|view|mut|begin|end|operator\[\])\s*\([^)]*\)")
-    lines = src.code_lines
-    for lineno, line in enumerate(lines, 1):
-        m = accessor_re.match(line)
-        if not m or ";" in line:
-            continue  # declaration only, or not a definition header
-        # Function body: scan until brace depth returns to zero.
-        depth = 0
-        body = []
-        started = False
-        for k in range(lineno - 1, min(lineno + 30, len(lines))):
-            body.append(lines[k])
-            depth += lines[k].count("{") - lines[k].count("}")
-            if "{" in lines[k]:
-                started = True
-            if started and depth <= 0:
-                break
-        body_text = "\n".join(body)
-        touches = re.search(r"\bdata_|\bpacked_", body_text)
-        if touches and "assertFull()" not in body_text:
-            if not src.allows(lineno, "cow-raw-access"):
-                findings.append(Finding(
-                    relpath, lineno, "cow-raw-access",
-                    "raw-buffer accessor %s() touches storage without "
-                    "assertFull(); packed columns must never hand out "
-                    "raw bits" % m.group(1)))
     return findings
 
 
