@@ -212,28 +212,25 @@ timeMs(Fn &&fn, int reps, double &wall_ms, double &cpu_ms)
 }
 
 /**
- * Forward splat-kernel ladder timings: drive each table's forwardSplat
- * over an identical synthetic fragment stream — one wide low-opacity
- * splat per slot covering a 16-row x 256-px tile, every fragment
- * blending — so the measurement isolates the per-fragment arithmetic
- * (exp + blend recurrence) from tile scheduling, binning and
- * projection. Three tables: `precise` on the scalar twin (the
- * baseline), and `precise` and `fastest_approx` at the active dispatch
- * level. With AVX2 dispatched, both must beat the scalar baseline by
- * >= 1.5x wall-clock; on scalar-only hosts the numbers are recorded
- * without a gate.
+ * Forward splat-kernel timings: drive each table's forwardSplat over an
+ * identical synthetic fragment stream — one wide low-opacity splat per
+ * slot covering a 16-row x 256-px tile, every fragment blending — so
+ * the measurement isolates the per-fragment arithmetic (exp + blend
+ * recurrence) from tile scheduling, binning and projection. Two tables:
+ * the scalar twin (the baseline) and the table at the active dispatch
+ * level. With AVX2 dispatched, the AVX2 body must beat the scalar twin
+ * by >= 1.5x wall-clock; on scalar-only hosts the two are the same
+ * table and the numbers are recorded without a gate.
  */
-struct LadderTimings
+struct SplatKernelTimings
 {
-    double scalar_ms = 0, precise_ms = 0, approx_ms = 0;
-    double precise_speedup = 0, approx_speedup = 0;
+    double scalar_ms = 0, active_ms = 0, speedup = 0;
     const char *level = "";
     const char *scalar_name = "";
-    const char *precise_name = "";
-    const char *approx_name = "";
+    const char *active_name = "";
 };
 
-LadderTimings
+SplatKernelTimings
 timeSplatKernels(int reps)
 {
     constexpr u32 kW = 256;       // pixels per row
@@ -286,25 +283,19 @@ timeSplatKernels(int reps)
     };
 
     const SimdLevel level = activeSimdLevel();
-    const gs::SplatKernels &scalar = gs::selectSplatKernels(
-        gs::PipelinePreset::Precise, SimdLevel::Scalar);
-    const gs::SplatKernels &precise =
-        gs::selectSplatKernels(gs::PipelinePreset::Precise, level);
-    const gs::SplatKernels &approx =
-        gs::selectSplatKernels(gs::PipelinePreset::FastestApprox, level);
+    const gs::SplatKernels &scalar =
+        gs::selectSplatKernels(SimdLevel::Scalar);
+    const gs::SplatKernels &active = gs::selectSplatKernels(level);
 
-    LadderTimings lad;
-    lad.level = simdLevelName(level);
-    lad.scalar_name = scalar.name;
-    lad.precise_name = precise.name;
-    lad.approx_name = approx.name;
+    SplatKernelTimings kt;
+    kt.level = simdLevelName(level);
+    kt.scalar_name = scalar.name;
+    kt.active_name = active.name;
     double cpu; // CPU time tracks wall on this single-thread workload
-    timeMs([&] { pass(scalar); }, reps, lad.scalar_ms, cpu);
-    timeMs([&] { pass(precise); }, reps, lad.precise_ms, cpu);
-    timeMs([&] { pass(approx); }, reps, lad.approx_ms, cpu);
-    lad.precise_speedup = lad.scalar_ms / lad.precise_ms;
-    lad.approx_speedup = lad.scalar_ms / lad.approx_ms;
-    return lad;
+    timeMs([&] { pass(scalar); }, reps, kt.scalar_ms, cpu);
+    timeMs([&] { pass(active); }, reps, kt.active_ms, cpu);
+    kt.speedup = kt.scalar_ms / kt.active_ms;
+    return kt;
 }
 
 /**
@@ -576,7 +567,7 @@ writeComparison()
     double backward_speedup = bseed_wall / brtgs_wall;
     double backward_cpu_speedup = bseed_cpu / brtgs_cpu;
 
-    LadderTimings lad = timeSplatKernels(reps);
+    SplatKernelTimings kt = timeSplatKernels(reps);
 
     std::FILE *out = std::fopen(path, "w");
     if (!out) {
@@ -610,20 +601,16 @@ writeComparison()
         "  \"simd_level\": \"%s\",\n"
         "  \"splatkernel_precise_scalar_name\": \"%s\",\n"
         "  \"splatkernel_precise_name\": \"%s\",\n"
-        "  \"splatkernel_fastest_approx_name\": \"%s\",\n"
         "  \"splatkernel_precise_scalar_ms\": %.4f,\n"
         "  \"splatkernel_precise_ms\": %.4f,\n"
-        "  \"splatkernel_fastest_approx_ms\": %.4f,\n"
-        "  \"splatkernel_precise_speedup\": %.3f,\n"
-        "  \"splatkernel_fastest_approx_speedup\": %.3f\n"
+        "  \"splatkernel_precise_speedup\": %.3f\n"
         "}\n",
         f.cloud.size(), globalPool().size() + 1, reps, seed_wall,
         rtgs_wall, speedup, seed_cpu, rtgs_cpu, cpu_speedup, diff,
         bseed_wall, brtgs_wall, backward_speedup, bseed_cpu, brtgs_cpu,
         backward_cpu_speedup, grad_diff, seed_vs_gt, rtgs_vs_gt,
-        lad.level, lad.scalar_name, lad.precise_name, lad.approx_name,
-        lad.scalar_ms, lad.precise_ms, lad.approx_ms, lad.precise_speedup,
-        lad.approx_speedup);
+        kt.level, kt.scalar_name, kt.active_name, kt.scalar_ms,
+        kt.active_ms, kt.speedup);
     std::fclose(out);
 
     std::printf("\n== forward pass: seed serial vs parallel pipeline ==\n");
@@ -641,14 +628,11 @@ writeComparison()
                 backward_speedup, backward_cpu_speedup, grad_diff);
     std::printf("vs f64 ground truth: seed %.3g, rtgs %.3g\n",
                 seed_vs_gt, rtgs_vs_gt);
-    std::printf("\n== forward splat-kernel ladder (%s dispatch) ==\n",
-                lad.level);
-    std::printf("precise        %.3f ms  (%s)\n", lad.scalar_ms,
-                lad.scalar_name);
-    std::printf("precise        %.3f ms  (%s)  %.2fx\n", lad.precise_ms,
-                lad.precise_name, lad.precise_speedup);
-    std::printf("fastest_approx %.3f ms  (%s)  %.2fx\n", lad.approx_ms,
-                lad.approx_name, lad.approx_speedup);
+    std::printf("\n== forward splat kernel (%s dispatch) ==\n",
+                kt.level);
+    std::printf("%-12s %.3f ms\n", kt.scalar_name, kt.scalar_ms);
+    std::printf("%-12s %.3f ms  %.2fx\n", kt.active_name, kt.active_ms,
+                kt.speedup);
     std::printf("wrote %s\n", path);
 
     if (diff > 1e-6) {
@@ -678,16 +662,13 @@ writeComparison()
                      rtgs_vs_gt, seed_vs_gt);
         return 1;
     }
-    // Ladder gate: both AVX2 kernels must beat the scalar precise twin
-    // by >= 1.5x wall-clock. Only meaningful when AVX2 actually
-    // dispatched — on scalar-only hosts all three share width and the
-    // numbers are recorded without a gate.
-    if (activeSimdLevel() >= SimdLevel::Avx2 &&
-        (lad.precise_speedup < 1.5 || lad.approx_speedup < 1.5)) {
-        std::fprintf(stderr,
-                     "FAIL: splat-kernel ladder below 1.5x (precise "
-                     "%.2fx, fastest_approx %.2fx)\n",
-                     lad.precise_speedup, lad.approx_speedup);
+    // Splat-kernel gate: the AVX2 body must beat the scalar twin by
+    // >= 1.5x wall-clock. Only meaningful when AVX2 actually
+    // dispatched — on scalar-only hosts both timings are the scalar
+    // twin and are recorded without a gate.
+    if (activeSimdLevel() >= SimdLevel::Avx2 && kt.speedup < 1.5) {
+        std::fprintf(stderr, "FAIL: AVX2 splat kernel below 1.5x (%.2fx)\n",
+                     kt.speedup);
         return 1;
     }
     return 0;

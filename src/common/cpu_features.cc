@@ -26,7 +26,6 @@ queryCpuFeatures()
     unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
     if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx))
         return f;
-    f.fma = (ecx & (1u << 12)) != 0;
     const bool osxsave = (ecx & (1u << 27)) != 0;
     if (osxsave) {
         // XGETBV(0): bits 1 (SSE) and 2 (AVX) must both be OS-enabled
@@ -68,10 +67,9 @@ SimdLevel
 detectedSimdLevel()
 {
     const CpuFeatures &f = cpuFeatures();
-    // The AVX2 TU is built with FMA (the polynomial exp uses it); both
-    // must be present (and the OS must context-switch YMM state) to
-    // dispatch above scalar.
-    if (f.avx2 && f.fma && f.osAvx)
+    // The OS must also context-switch YMM state to dispatch above
+    // scalar.
+    if (f.avx2 && f.osAvx)
         return SimdLevel::Avx2;
     return SimdLevel::Scalar;
 }

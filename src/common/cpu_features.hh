@@ -5,9 +5,9 @@
  *
  * Kernel selection is a *runtime* decision: the library always builds
  * the scalar kernels with the baseline flags, the AVX2 kernels live in
- * one translation unit compiled with -mavx2/-mfma, and the
- * dispatcher picks between them per process from CPUID (never from the
- * compiler flags of the calling TU). The RTGS_SIMD environment variable
+ * one translation unit compiled with -mavx2, and the dispatcher picks
+ * between them per process from CPUID (never from the compiler flags
+ * of the calling TU). The RTGS_SIMD environment variable
  * can force a lower level ("scalar") so both dispatch paths are
  * exercisable on the same binary — the scalar CI shard relies on this.
  */
@@ -23,19 +23,14 @@ namespace rtgs
 /** Instruction-set capabilities of the running CPU (CPUID-derived). */
 struct CpuFeatures
 {
-    bool avx2 = false; //!< AVX2 integer/float 256-bit ops
-    bool fma = false;  //!< FMA3
+    bool avx2 = false;  //!< AVX2 integer/float 256-bit ops
     bool osAvx = false; //!< OS saves/restores YMM state (XGETBV)
 };
 
 /** CPUID query, computed once per process. */
 const CpuFeatures &cpuFeatures();
 
-/**
- * SIMD dispatch ladder. Avx2 implies FMA (the `fastest_approx`
- * polynomial exp fuses its Horner steps; the exact kernels use none);
- * a CPU with AVX2 but no FMA dispatches Scalar.
- */
+/** SIMD dispatch levels, lowest first. */
 enum class SimdLevel : u8
 {
     Scalar = 0,

@@ -209,8 +209,8 @@ backwardTileSplatMajor(u32 tile, const ProjectedCloud &projected,
     // pre-dotted with the adjoints), bgT (finalT * background.dL/dC),
     // the four adjoints, and ce (forward nContrib; 0 marks a
     // zero-adjoint pixel) — padded by kTileStatePad like the forward's;
-    // the per-pixel arithmetic of one splat lives in the
-    // preset-selected splat kernel (gs/row_kernels.hh).
+    // the per-pixel arithmetic of one splat lives in the splat kernel
+    // (gs/row_kernels.hh).
     const u32 tw = x1 - x0, th = y1 - y0;
     const u32 n_px = tw * th;
     const size_t n_st = size_t(n_px) + kTileStatePad;
@@ -264,7 +264,7 @@ backwardTileSplatMajor(u32 tile, const ProjectedCloud &projected,
                                bw_dlR.data(), bw_dlG.data(), bw_dlB.data(),
                                bw_dlD.data(), bw_ce.data()};
 
-    const SplatKernels &kern = selectSplatKernels(settings.preset);
+    const SplatKernels &kern = selectSplatKernels();
     const SplatKernelCtx ctx{settings.alphaMin, settings.alphaMax,
                              settings.transmittanceEps};
 

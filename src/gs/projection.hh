@@ -16,7 +16,6 @@
 #include "common/thread_pool.hh"
 #include "geometry/camera.hh"
 #include "gs/gaussian.hh"
-#include "gs/pipeline_config.hh"
 
 namespace rtgs::gs
 {
@@ -40,11 +39,6 @@ struct RenderSettings
     Vec3f background{0, 0, 0};
     /** Splat radius in standard deviations. */
     Real radiusSigma = Real(3);
-    /**
-     * Approximation-ladder rung: selects the forward/backward splat
-     * kernels (exact vs polynomial exp).
-     */
-    PipelinePreset preset = PipelinePreset::Precise;
 };
 
 /** A projected (2D) Gaussian: the per-Gaussian outputs of Step 1. */

@@ -102,9 +102,8 @@ rasterizeTile(u32 tile, const ProjectedCloud &projected,
     // hence the image) is unchanged. The state is SoA (~8 KB for a
     // 16x16 tile, comfortably L1-resident, padded by kTileStatePad for
     // the AVX2 body's whole-step loads) and the per-pixel arithmetic of
-    // one splat lives in the preset-selected splat kernel
-    // (gs/row_kernels.hh); under `precise` every dispatch gives the
-    // serial reference's bytes.
+    // one splat lives in the splat kernel (gs/row_kernels.hh); either
+    // SIMD dispatch gives the serial reference's bytes.
     const u32 tw = x1 - x0, th = y1 - y0;
     const u32 n_px = tw * th;
     const size_t n_st = size_t(n_px) + kTileStatePad;
@@ -122,7 +121,7 @@ rasterizeTile(u32 tile, const ProjectedCloud &projected,
                               st_term.data()};
     u32 alive = n_px;
 
-    const SplatKernels &kern = selectSplatKernels(settings.preset);
+    const SplatKernels &kern = selectSplatKernels();
     const SplatKernelCtx ctx{alpha_min, alpha_max, t_eps};
 
     for (u32 s = 0; s < n_splats && alive > 0; ++s) {

@@ -4,7 +4,8 @@
  * std::vector push_back binning, per-tile std::stable_sort by depth,
  * and an AoS per-pixel rasteriser. The rasteriser's per-fragment exp is
  * expExact (gs/row_kernels.hh), the one the splat kernels call, so the
- * `precise` preset stays byte-identical to it under any SIMD dispatch.
+ * production pipeline stays byte-identical to it under either SIMD
+ * dispatch.
  *
  * This is NOT used by the production RenderPipeline. It exists as the
  * golden reference the parallel pipeline is validated against

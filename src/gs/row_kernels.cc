@@ -1,7 +1,6 @@
 #include "gs/row_kernels.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 namespace rtgs::gs
@@ -11,14 +10,10 @@ namespace
 {
 
 /**
- * Scalar forward twin. EXP is expExact (the `precise` contract: the
- * AVX2 body and the serial reference run the same operations, so all
- * three give the same bytes) or the polynomial twin. Everything else —
- * skip tests, blend order, the termination bookkeeping — is common, so
- * a rung may only change how exp is evaluated, never which fragments
- * blend in which order.
+ * Scalar forward twin. The AVX2 body and the serial reference run the
+ * same operations and the same expExact, so all three give the same
+ * bytes.
  */
-template <Real (*EXP)(Real)>
 u32
 forwardSplatScalar(const HotSplat &g, const SplatFootprint &fp,
                    const SplatKernelCtx &ctx, const ForwardTileState &st)
@@ -45,7 +40,7 @@ forwardSplatScalar(const HotSplat &g, const SplatFootprint &fp,
             if (t < ctx.tEps)
                 continue; // terminated earlier in the stream
             const Real alpha =
-                std::min(ctx.alphaMax, g.opacity * EXP(power));
+                std::min(ctx.alphaMax, g.opacity * expExact(power));
             if (alpha < ctx.alphaMin)
                 continue;
 
@@ -80,7 +75,6 @@ reduceLanes(const Real (&l)[8])
  * (px - sx0) mod 8, exactly as the AVX2 body's vector accumulators do,
  * and reduces them once per splat with the same tree.
  */
-template <Real (*EXP)(Real)>
 BackwardSplatAccum
 backwardSplatScalar(const HotSplat &g, const SplatFootprint &fp,
                     const SplatKernelCtx &ctx, const BackwardTileState &st,
@@ -111,7 +105,7 @@ backwardSplatScalar(const HotSplat &g, const SplatFootprint &fp,
             const size_t p = off + i;
             if (fp.slot >= st.ce[p])
                 continue; // never examined forward at this pixel
-            const Real gval = EXP(power);
+            const Real gval = expExact(power);
             const Real raw_alpha = g.opacity * gval;
             const bool clamped = raw_alpha > ctx.alphaMax;
             const Real alpha = clamped ? ctx.alphaMax : raw_alpha;
@@ -179,21 +173,15 @@ backwardSplatScalar(const HotSplat &g, const SplatFootprint &fp,
     return out;
 }
 
-template <Real (*EXP)(Real)>
 void
 expBatchScalar(const Real *x, Real *out, size_t n)
 {
     for (size_t i = 0; i < n; ++i)
-        out[i] = EXP(x[i]);
+        out[i] = expExact(x[i]);
 }
 
-const SplatKernels kScalarPrecise{forwardSplatScalar<expExact>,
-                                backwardSplatScalar<expExact>,
-                                expBatchScalar<expExact>, "scalar-exact"};
-const SplatKernels kScalarApprox{forwardSplatScalar<expApproxScalar>,
-                                 backwardSplatScalar<expApproxScalar>,
-                                 expBatchScalar<expApproxScalar>,
-                                 "scalar-approx"};
+const SplatKernels kScalar{forwardSplatScalar, backwardSplatScalar,
+                          expBatchScalar, "scalar-exact"};
 
 } // namespace
 
@@ -238,45 +226,14 @@ expExact(Real x)
 }
 // det-lint: end-allow(double-accum)
 
-Real
-expApproxScalar(Real x)
-{
-    // Cephes-style expf: n = round(x / ln 2), two-step ln 2 subtraction
-    // keeps the reduced argument accurate, then a degree-5 minimax for
-    // exp(r) = 1 + r + r^2 P(r) on [-ln2/2, ln2/2]. Plain mul/add on
-    // purpose: the baseline TU has no hardware FMA, and std::fma would
-    // fall back to libm soft-float — slower than std::exp itself.
-    Real n = std::nearbyint(x * Real(1.44269504088896341));
-    Real r = x - n * Real(0.693359375);
-    r -= n * Real(-2.12194440e-4);
-
-    Real p = Real(1.9875691500e-4);
-    p = p * r + Real(1.3981999507e-3);
-    p = p * r + Real(8.3334519073e-3);
-    p = p * r + Real(4.1665795894e-2);
-    p = p * r + Real(1.6666665459e-1);
-    p = p * r + Real(5.0000001201e-1);
-    Real y = r * r * p + r + Real(1);
-
-    // Scale by 2^n through the exponent bits; n is in [-127, 1] for any
-    // x >= -87, so the bias never underflows.
-    union {
-        float f;
-        u32 u;
-    } s;
-    s.u = static_cast<u32>((static_cast<i32>(n) + 127) << 23);
-    return y * s.f;
-}
-
 const SplatKernels &
-selectSplatKernels(PipelinePreset preset, SimdLevel level)
+selectSplatKernels(SimdLevel level)
 {
-    const bool approx = preset == PipelinePreset::FastestApprox;
     if (level >= SimdLevel::Avx2) {
-        if (const SplatKernels *k = splatKernelsAvx2(approx))
+        if (const SplatKernels *k = splatKernelsAvx2())
             return *k;
     }
-    return approx ? kScalarApprox : kScalarPrecise;
+    return kScalar;
 }
 
 } // namespace rtgs::gs

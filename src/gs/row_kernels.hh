@@ -1,8 +1,8 @@
 /**
  * @file
  * Splat kernels for the splat-major forward blend and backward
- * gradient walks, the exps they call, and the runtime dispatcher that
- * picks an implementation per (preset, SIMD level).
+ * gradient walks, the exact exp they call, and the runtime dispatcher
+ * that picks an implementation per SIMD level.
  *
  * A splat kernel processes one splat's clipped cutoff-ellipse bounding
  * box inside one tile against the tile's SoA per-pixel state: the row
@@ -10,22 +10,19 @@
  * once, so the CPU overlaps independent rows. The tile drivers
  * (`rasterizeTile`, `backwardTileSplatMajor`) own traversal order, the
  * cutoff-ellipse clip and the per-splat record write; the kernels own
- * the per-pixel arithmetic. Every rung therefore walks exactly the same
- * fragments in the same order, so a rung changes values, never
- * structure.
+ * the per-pixel arithmetic.
  *
- * One template per ISA, parameterised by the exp:
+ * One kernel pair per ISA:
  *  - scalar twin — the fallback when AVX2 is unavailable.
  *  - AVX2 body — 8 lanes per step, compiled in one TU with -mavx2 and
  *    selected only when CPUID reports support (common/cpu_features.hh).
  * The two run the same IEEE operations per lane in the same order, with
- * no FMA (the library pins -ffp-contract=off), and the backward sums
- * every per-splat gradient in one fixed order (8 lane partial sums, one
- * reduction tree; see BackwardSplatFn). With the exact exp (`precise`)
- * they therefore give the same bytes, and the serial reference, which
- * calls the same expExact, gives them too. With the polynomial exp
- * (`fastest_approx`) the AVX2 exp fuses multiply-adds, so that rung's
- * contract is bounded error, not bytes.
+ * no FMA (the library pins -ffp-contract=off and the AVX2 TU gets
+ * -mavx2 alone), call the same exact exp, and the backward sums every
+ * per-splat gradient in one fixed order (8 lane partial sums, one
+ * reduction tree; see BackwardSplatFn). They therefore give the same
+ * bytes, and the serial reference, which calls the same expExact, gives
+ * them too.
  */
 
 #ifndef RTGS_GS_ROW_KERNELS_HH
@@ -34,7 +31,6 @@
 #include <cstddef>
 
 #include "common/cpu_features.hh"
-#include "gs/pipeline_config.hh"
 #include "gs/rasterizer.hh"
 
 namespace rtgs::gs
@@ -130,32 +126,29 @@ using BackwardSplatFn = BackwardSplatAccum (*)(const HotSplat &g,
                                                const BackwardTileState &st,
                                                const u32 *row_ce);
 
-/** The table's exp over a batch (for the exp contract tests). */
+/** The kernels' exp over a batch (for the exp contract tests). */
 using ExpBatchFn = void (*)(const Real *x, Real *out, size_t n);
 
-/** One rung's kernel table at one ISA. */
+/** The kernel table of one ISA. */
 struct SplatKernels
 {
     ForwardSplatFn forwardSplat;
     BackwardSplatFn backwardSplat;
     ExpBatchFn expBatch;
-    const char *name; //!< e.g. "scalar-exact", "avx2-approx" (for JSON)
+    const char *name; //!< "scalar-exact" or "avx2-exact" (for JSON)
 };
 
 /**
- * Pick the kernel table for a preset at an explicit SIMD level: the
- * AVX2 table when the level allows and the binary carries it, else the
- * scalar twin. `Precise` gets the exact exp, `FastestApprox` the
- * polynomial one.
+ * Pick the kernel table at an explicit SIMD level: the AVX2 table when
+ * the level allows and the binary carries it, else the scalar twin.
  */
-const SplatKernels &selectSplatKernels(PipelinePreset preset,
-                                       SimdLevel level);
+const SplatKernels &selectSplatKernels(SimdLevel level);
 
 /** Dispatch at the process's active SIMD level (CPUID + RTGS_SIMD). */
 inline const SplatKernels &
-selectSplatKernels(PipelinePreset preset)
+selectSplatKernels()
 {
-    return selectSplatKernels(preset, activeSimdLevel());
+    return selectSplatKernels(activeSimdLevel());
 }
 
 /**
@@ -171,18 +164,11 @@ selectSplatKernels(PipelinePreset preset)
 Real expExact(Real x);
 
 /**
- * Scalar twin of the approx rung's polynomial exp (Cephes-style
- * degree-5 minimax, plain mul/add). Defined for x <= 0; relative error
- * ~2e-7 over the live power range.
- */
-Real expApproxScalar(Real x);
-
-/**
  * AVX2 kernel table from the -mavx2 TU, or nullptr when the toolchain
  * could not build it. Internal to the dispatcher; call through
  * selectSplatKernels() everywhere else.
  */
-const SplatKernels *splatKernelsAvx2(bool approx_exp);
+const SplatKernels *splatKernelsAvx2();
 
 } // namespace rtgs::gs
 

@@ -1,24 +1,19 @@
 /**
  * @file
- * 8-wide AVX2 bodies of the splat kernels, plus the two vector exps
- * they are instantiated with:
- *
- *  - expExact8:  the AVX2 twin of expExact (two 4-wide double halves),
- *    the same IEEE operations as the scalar function, so the two give
- *    the same bytes. The `precise` rung.
- *  - expApprox8: single-precision Cephes-style degree-5 minimax with
- *    FMA, ~2e-7 relative error (contract: <= 16 ulp, asserted by
- *    tests/test_gs_simd.cc). The `fastest_approx` rung.
+ * 8-wide AVX2 bodies of the splat kernels, plus expExact8, the AVX2
+ * twin of expExact (two 4-wide double halves running the scalar
+ * function's IEEE operations, so the two give the same bytes).
  *
  * Lane k of step j is pixel sx0 + 8j + k of the row. Every per-lane
  * operation is the scalar twin's (gs/row_kernels.cc), in the same
  * order, with no FMA: the library pins -ffp-contract=off, and this TU
- * calls no fused intrinsic outside expApprox8. Lanes that fail a test
- * keep their state through a blend and add +0 to the gradient sums
- * (the products are masked, so NaN or inf in a rejected lane never
- * leaks), which is why `precise` gives the scalar twin's bytes.
+ * adds -mavx2 alone, so a fused intrinsic fails to compile here unless
+ * the global flags enable FMA. Lanes that fail a test keep their state
+ * through a blend and add +0 to the gradient sums (the products are
+ * masked, so NaN or inf in a rejected lane never leaks), which is why
+ * the body gives the scalar twin's bytes.
  *
- * This is the only TU compiled with -mavx2/-mfma (set per-file in
+ * This is the only TU compiled with -mavx2 (set per-file in
  * CMakeLists.txt); when the toolchain can't do that, the whole body
  * compiles away and splatKernelsAvx2() returns nullptr, so the
  * dispatcher falls back to scalar.
@@ -26,7 +21,7 @@
 
 #include "gs/row_kernels.hh"
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__)
 
 #include <immintrin.h>
 
@@ -104,38 +99,6 @@ expExact8(__m256 x)
 }
 // det-lint: end-allow(double-accum)
 
-/** Polynomial float exp, the vector form of expApproxScalar. */
-inline __m256
-expApprox8(__m256 x)
-{
-    const __m256 inv_ln2 = _mm256_set1_ps(1.44269504088896341f);
-    const __m256 ln2_hi = _mm256_set1_ps(0.693359375f);
-    const __m256 ln2_lo = _mm256_set1_ps(-2.12194440e-4f);
-
-    // Valid on [-87, 0]; rejected lanes may carry anything.
-    x = _mm256_max_ps(_mm256_set1_ps(-87.0f),
-                      _mm256_min_ps(x, _mm256_setzero_ps()));
-    __m256 n = _mm256_round_ps(
-        _mm256_mul_ps(x, inv_ln2),
-        _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-    __m256 r = _mm256_fnmadd_ps(n, ln2_hi, x);
-    r = _mm256_fnmadd_ps(n, ln2_lo, r);
-
-    __m256 p = _mm256_set1_ps(1.9875691500e-4f);
-    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.3981999507e-3f));
-    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(8.3334519073e-3f));
-    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(4.1665795894e-2f));
-    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.6666665459e-1f));
-    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(5.0000001201e-1f));
-    __m256 y = _mm256_fmadd_ps(_mm256_mul_ps(r, r), p,
-                               _mm256_add_ps(r, _mm256_set1_ps(1.0f)));
-
-    __m256i pow2 = _mm256_slli_epi32(
-        _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127)),
-        23);
-    return _mm256_mul_ps(y, _mm256_castsi256_ps(pow2));
-}
-
 /** Lane iota 0..7 as floats. */
 inline __m256
 iota8()
@@ -195,7 +158,6 @@ storeBlend(Real *p, __m256 old_v, __m256 new_v, __m256 mask)
     _mm256_storeu_ps(p, _mm256_blendv_ps(old_v, new_v, mask));
 }
 
-template <__m256 (*EXP8)(__m256)>
 u32
 forwardSplatAvx2(const HotSplat &g, const SplatFootprint &fp,
                  const SplatKernelCtx &ctx, const ForwardTileState &st)
@@ -233,7 +195,7 @@ forwardSplatAvx2(const HotSplat &g, const SplatFootprint &fp,
                                   _mm256_cmp_ps(T, t_eps, _CMP_NLT_UQ));
             // std::min(alphaMax, v) is (v < alphaMax) ? v : alphaMax.
             const __m256 alpha = _mm256_min_ps(
-                _mm256_mul_ps(opacity, EXP8(power)), alpha_max);
+                _mm256_mul_ps(opacity, expExact8(power)), alpha_max);
             blend = _mm256_and_ps(
                 blend, _mm256_cmp_ps(alpha, alpha_min, _CMP_NLT_UQ));
             if (_mm256_testz_ps(blend, blend))
@@ -295,7 +257,6 @@ addMasked(__m256 acc, __m256 v, __m256 mask)
     return _mm256_add_ps(acc, _mm256_and_ps(v, mask));
 }
 
-template <__m256 (*EXP8)(__m256)>
 BackwardSplatAccum
 backwardSplatAvx2(const HotSplat &g, const SplatFootprint &fp,
                   const SplatKernelCtx &ctx, const BackwardTileState &st,
@@ -343,7 +304,7 @@ backwardSplatAvx2(const HotSplat &g, const SplatFootprint &fp,
             if (_mm256_testz_ps(blend, blend))
                 continue;
 
-            const __m256 gval = EXP8(power);
+            const __m256 gval = expExact8(power);
             const __m256 raw_alpha = _mm256_mul_ps(opacity, gval);
             const __m256 clamped =
                 _mm256_cmp_ps(raw_alpha, alpha_max, _CMP_GT_OQ);
@@ -418,48 +379,43 @@ backwardSplatAvx2(const HotSplat &g, const SplatFootprint &fp,
     return out;
 }
 
-template <__m256 (*EXP8)(__m256)>
 void
 expBatchAvx2(const Real *x, Real *out, size_t n)
 {
     size_t i = 0;
     for (; i + 8 <= n; i += 8)
-        _mm256_storeu_ps(out + i, EXP8(_mm256_loadu_ps(x + i)));
+        _mm256_storeu_ps(out + i, expExact8(_mm256_loadu_ps(x + i)));
     if (i < n) {
         Real buf_in[8] = {};
         Real buf_out[8];
         for (size_t j = i; j < n; ++j)
             buf_in[j - i] = x[j];
-        _mm256_storeu_ps(buf_out, EXP8(_mm256_loadu_ps(buf_in)));
+        _mm256_storeu_ps(buf_out, expExact8(_mm256_loadu_ps(buf_in)));
         for (size_t j = i; j < n; ++j)
             out[j] = buf_out[j - i];
     }
 }
 
-const SplatKernels kAvx2Precise{forwardSplatAvx2<expExact8>,
-                              backwardSplatAvx2<expExact8>,
-                              expBatchAvx2<expExact8>, "avx2-exact"};
-const SplatKernels kAvx2Approx{forwardSplatAvx2<expApprox8>,
-                               backwardSplatAvx2<expApprox8>,
-                               expBatchAvx2<expApprox8>, "avx2-approx"};
+const SplatKernels kAvx2{forwardSplatAvx2, backwardSplatAvx2, expBatchAvx2,
+                        "avx2-exact"};
 
 } // namespace
 
 const SplatKernels *
-splatKernelsAvx2(bool approx_exp)
+splatKernelsAvx2()
 {
-    return approx_exp ? &kAvx2Approx : &kAvx2Precise;
+    return &kAvx2;
 }
 
 } // namespace rtgs::gs
 
-#else // !(__AVX2__ && __FMA__)
+#else // !__AVX2__
 
 namespace rtgs::gs
 {
 
 const SplatKernels *
-splatKernelsAvx2(bool)
+splatKernelsAvx2()
 {
     return nullptr; // toolchain built this TU without AVX2 support
 }

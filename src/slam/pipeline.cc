@@ -102,7 +102,6 @@ SlamSystem::SlamSystem(const SlamConfig &config,
 {
     gs::RenderSettings settings;
     settings.background = {0.03f, 0.03f, 0.05f};
-    settings.preset = config.preset;
     pipeline_ = gs::RenderPipeline(settings);
 
     switch (config.algorithm) {

@@ -106,15 +106,6 @@ struct SlamConfig
      */
     RelocalizerConfig reloc;
 
-    /**
-     * Approximation-ladder rung, applied to the render pipeline at
-     * construction. `precise` (the default) runs the splat kernels
-     * with the exact exp and gives the same bytes under AVX2 and
-     * scalar dispatch; `fastest_approx` swaps in the polynomial exp
-     * and changes nothing else.
-     */
-    gs::PipelinePreset preset = gs::PipelinePreset::Precise;
-
     /** Build the per-profile default configuration. */
     static SlamConfig forAlgorithm(BaseAlgorithm algo);
 };

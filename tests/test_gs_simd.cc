@@ -1,20 +1,18 @@
 /**
  * @file
- * Contract tests for the approximate-computing ladder:
+ * Contract tests for the splat kernels and their SIMD dispatch:
  *
- *  - the `precise` rung is BITWISE identical to the serial reference
- *    forward pass (the strongest cross-implementation check the repo
- *    has: two independent loop structures, one bit pattern), and gives
- *    the same bytes under AVX2 and scalar dispatch: the exact exp, the
+ *  - the production forward pass is BITWISE identical to the serial
+ *    reference (the strongest cross-implementation check the repo has:
+ *    two independent loop structures, one bit pattern), and the AVX2
+ *    body and the scalar twin give the same bytes: the exact exp, the
  *    forward outputs, the backward's per-splat records and a whole
  *    MonoGS run;
- *  - the approx exp honours its <= 16 ulp bound and the exact exp its
- *    <= 1 ulp bound over the live power range, on whatever path the
- *    process dispatches to (AVX2 or scalar);
- *  - every rung is bitwise deterministic across 1/2/4 render workers,
- *    for one forward pass and for a whole MonoGS run;
- *  - `fastest_approx`, which differs from `precise` only in its exp,
- *    stays within that exp's error of `precise`.
+ *  - the exact exp honours its <= 1 ulp bound over the live power
+ *    range, on whatever path the process dispatches to (AVX2 or
+ *    scalar);
+ *  - a forward pass is bitwise deterministic across 1/2/4 render
+ *    workers.
  */
 
 #include <gtest/gtest.h>
@@ -99,15 +97,12 @@ bitIdentical(const ImageRGB &a, const ImageRGB &b)
 }
 
 ForwardContext
-renderWith(const SimdScene &scene, PipelinePreset preset,
-           ThreadPool *pool)
+renderOn(const SimdScene &scene, ThreadPool *pool)
 {
     RenderSettings settings;
     settings.background = {0.1f, 0.2f, 0.3f};
-    settings.preset = preset;
     RenderPipeline pipe(settings);
-    if (pool)
-        pipe.setPool(pool);
+    pipe.setPool(pool);
     return pipe.forward(scene.cloud, scene.camera);
 }
 
@@ -119,28 +114,27 @@ sameBytes(const T *a, const T *b, size_t n)
     return std::memcmp(a, b, n * sizeof(T)) == 0;
 }
 
-/** One `precise` forward plus the backward's per-splat records. */
-struct PreciseRun
+/** One forward plus the backward's per-splat records. */
+struct KernelRun
 {
     ForwardContext fwd;
     std::vector<SplatGradRecord> records;
 };
 
 /**
- * Render the scene under `precise` at an explicit dispatch level and
- * run the splat-major backward over every tile, with adjoints drawn
- * from a fixed seed (every seventh pixel zero, to exercise the
- * zero-adjoint skip).
+ * Render the scene at an explicit dispatch level and run the
+ * splat-major backward over every tile, with adjoints drawn from a
+ * fixed seed (every seventh pixel zero, to exercise the zero-adjoint
+ * skip).
  */
-PreciseRun
-runPreciseAt(const SimdScene &scene, SimdLevel level)
+KernelRun
+runAt(const SimdScene &scene, SimdLevel level)
 {
     ScopedSimdLevel pin(level);
     RenderSettings settings;
     settings.background = {0.1f, 0.2f, 0.3f};
-    settings.preset = PipelinePreset::Precise;
     RenderPipeline pipe(settings);
-    PreciseRun run{pipe.forward(scene.cloud, scene.camera), {}};
+    KernelRun run{pipe.forward(scene.cloud, scene.camera), {}};
     const ForwardContext &f = run.fwd;
 
     ImageRGB dl_dcolor(f.grid.width, f.grid.height);
@@ -176,12 +170,12 @@ fnv1a(const void *bytes, size_t n, u64 hash)
 
 /**
  * Trajectory+map FNV of a 16-frame MonoGS run (slambench's `single`
- * configuration on a smaller scene) at an explicit dispatch level and
- * preset, rendering on `pool` (the global pool when null). Hashes the
- * raw column bytes through data(), as slambench's outputHash does.
+ * configuration on a smaller scene) at an explicit dispatch level.
+ * Hashes the raw column bytes through data(), as slambench's
+ * outputHash does.
  */
 u64
-monoGsRunHash(SimdLevel level, PipelinePreset preset, ThreadPool *pool)
+monoGsRunHash(SimdLevel level)
 {
     ScopedSimdLevel pin(level);
     data::DatasetSpec spec = data::DatasetSpec::tumLike(Real(0.15));
@@ -194,10 +188,7 @@ monoGsRunHash(SimdLevel level, PipelinePreset preset, ThreadPool *pool)
     cfg.tracker.earlyStop = false;
     cfg.mapper.iterations = 12;
     cfg.kfInterval = 4;
-    cfg.preset = preset;
     slam::SlamSystem sys(cfg, ds.intrinsics());
-    if (pool)
-        sys.setRenderPool(pool);
     for (u32 f = 0; f < ds.frameCount(); ++f)
         sys.processFrame(ds.frame(f));
 
@@ -222,25 +213,21 @@ monoGsRunHash(SimdLevel level, PipelinePreset preset, ThreadPool *pool)
 }
 
 /**
- * The precise table the CPU can run above scalar, or nullptr when the
- * CPU or the binary has no AVX2 kernels. Gated on the detected level,
- * not the active one, so RTGS_SIMD=scalar still compares both paths.
+ * The table the CPU can run above scalar, or nullptr when the CPU or
+ * the binary has no AVX2 kernels. Gated on the detected level, not the
+ * active one, so RTGS_SIMD=scalar still compares both paths.
  */
 const SplatKernels *
-preciseAvx2Kernels()
+avx2Kernels()
 {
-    const SplatKernels &k =
-        selectSplatKernels(PipelinePreset::Precise, detectedSimdLevel());
-    return &k == &selectSplatKernels(PipelinePreset::Precise,
-                                     SimdLevel::Scalar)
-               ? nullptr
-               : &k;
+    const SplatKernels &k = selectSplatKernels(detectedSimdLevel());
+    return &k == &selectSplatKernels(SimdLevel::Scalar) ? nullptr : &k;
 }
 
 } // namespace
 
 // ---------------------------------------------------------------------
-// precise rung: bitwise identity vs the serial reference
+// bitwise identity vs the serial reference and across dispatch levels
 // ---------------------------------------------------------------------
 
 class SimdPrecise : public ::testing::TestWithParam<u64>
@@ -252,7 +239,6 @@ TEST_P(SimdPrecise, BitwiseMatchesSerialReference)
     SimdScene scene(GetParam());
     RenderSettings settings;
     settings.background = {0.1f, 0.2f, 0.3f};
-    settings.preset = PipelinePreset::Precise;
 
     ReferenceForward ref =
         forwardReference(scene.cloud, scene.camera, settings);
@@ -272,11 +258,11 @@ TEST_P(SimdPrecise, BitwiseMatchesSerialReference)
 
 TEST_P(SimdPrecise, ScalarAndAvx2KernelsGiveSameBytes)
 {
-    if (!preciseAvx2Kernels())
+    if (!avx2Kernels())
         GTEST_SKIP() << "no AVX2 kernels on this CPU or binary";
     SimdScene scene(GetParam());
-    PreciseRun scalar = runPreciseAt(scene, SimdLevel::Scalar);
-    PreciseRun avx2 = runPreciseAt(scene, SimdLevel::Avx2);
+    KernelRun scalar = runAt(scene, SimdLevel::Scalar);
+    KernelRun avx2 = runAt(scene, SimdLevel::Avx2);
 
     const RenderResult &a = scalar.fwd.result, &b = avx2.fwd.result;
     const size_t n = a.image.pixelCount();
@@ -297,42 +283,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimdPrecise,
 
 TEST(SimdDispatch, MonoGsRunSameFnvAtBothLevels)
 {
-    if (!preciseAvx2Kernels())
+    if (!avx2Kernels())
         GTEST_SKIP() << "no AVX2 kernels on this CPU or binary";
-    EXPECT_EQ(
-        monoGsRunHash(SimdLevel::Scalar, PipelinePreset::Precise, nullptr),
-        monoGsRunHash(SimdLevel::Avx2, PipelinePreset::Precise, nullptr));
+    EXPECT_EQ(monoGsRunHash(SimdLevel::Scalar),
+              monoGsRunHash(SimdLevel::Avx2));
 }
 
 // ---------------------------------------------------------------------
 // exp contracts over the live power range
 // ---------------------------------------------------------------------
-
-TEST(SimdExp, ApproxWithinSixteenUlpOverLiveRange)
-{
-    // The live range: powerSkip >= ln(alphaMin / opacity) - 1e-3 with
-    // alphaMin = 1/255 and opacity <= 1, so power in (-5.6, 0].
-    constexpr size_t kN = 20000;
-    std::vector<Real> x(kN), y(kN);
-    for (size_t i = 0; i < kN; ++i)
-        x[i] = Real(-5.6) * static_cast<Real>(i) /
-               static_cast<Real>(kN - 1);
-    selectSplatKernels(PipelinePreset::FastestApprox, activeSimdLevel())
-        .expBatch(x.data(), y.data(), kN);
-    u32 max_ulp = 0;
-    for (size_t i = 0; i < kN; ++i) {
-        float exact = std::exp(x[i]);
-        max_ulp = std::max(max_ulp, ulpDiff(y[i], exact));
-    }
-    EXPECT_LE(max_ulp, 16u) << "approx exp out of contract";
-    // The scalar twin honours the same bound independently of dispatch.
-    max_ulp = 0;
-    for (size_t i = 0; i < kN; ++i)
-        max_ulp =
-            std::max(max_ulp, ulpDiff(expApproxScalar(x[i]),
-                                      std::exp(x[i])));
-    EXPECT_LE(max_ulp, 16u) << "scalar approx twin out of contract";
-}
 
 TEST(SimdExp, FaithfulWithinOneUlpOverLiveRange)
 {
@@ -341,8 +300,7 @@ TEST(SimdExp, FaithfulWithinOneUlpOverLiveRange)
     for (size_t i = 0; i < kN; ++i)
         x[i] = Real(-5.6) * static_cast<Real>(i) /
                static_cast<Real>(kN - 1);
-    selectSplatKernels(PipelinePreset::Precise, activeSimdLevel())
-        .expBatch(x.data(), y.data(), kN);
+    selectSplatKernels().expBatch(x.data(), y.data(), kN);
     u32 max_ulp = 0;
     for (size_t i = 0; i < kN; ++i)
         max_ulp = std::max(max_ulp, ulpDiff(y[i], std::exp(x[i])));
@@ -371,7 +329,7 @@ TEST(SimdExp, ExactTwinsBitwiseEqualOverFloatSweep)
         max_ulp = std::max(max_ulp, ulpDiff(scalar[i], std::exp(x[i])));
     EXPECT_LE(max_ulp, 1u) << "exact exp out of contract";
 
-    const SplatKernels *k = preciseAvx2Kernels();
+    const SplatKernels *k = avx2Kernels();
     if (!k)
         GTEST_SKIP() << "no AVX2 kernels on this CPU or binary";
     k->expBatch(x.data(), avx2.data(), x.size());
@@ -379,21 +337,16 @@ TEST(SimdExp, ExactTwinsBitwiseEqualOverFloatSweep)
 }
 
 // ---------------------------------------------------------------------
-// worker-count determinism of every rung
+// worker-count determinism
 // ---------------------------------------------------------------------
 
-class SimdDeterminism
-    : public ::testing::TestWithParam<PipelinePreset>
-{
-};
-
-TEST_P(SimdDeterminism, BitwiseAcrossWorkerCounts)
+TEST(SimdDeterminism, BitwiseAcrossWorkerCounts)
 {
     SimdScene scene(42);
     ThreadPool one(1), two(2), four(4);
-    ForwardContext a = renderWith(scene, GetParam(), &one);
-    ForwardContext b = renderWith(scene, GetParam(), &two);
-    ForwardContext c = renderWith(scene, GetParam(), &four);
+    ForwardContext a = renderOn(scene, &one);
+    ForwardContext b = renderOn(scene, &two);
+    ForwardContext c = renderOn(scene, &four);
     EXPECT_TRUE(bitIdentical(a.result.image, b.result.image));
     EXPECT_TRUE(bitIdentical(a.result.image, c.result.image));
     for (size_t i = 0; i < a.result.image.pixelCount(); ++i) {
@@ -401,65 +354,6 @@ TEST_P(SimdDeterminism, BitwiseAcrossWorkerCounts)
         ASSERT_EQ(a.result.finalT[i], c.result.finalT[i]);
         ASSERT_EQ(a.result.nContrib[i], c.result.nContrib[i]);
     }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Rungs, SimdDeterminism,
-    ::testing::Values(PipelinePreset::Precise,
-                      PipelinePreset::FastestApprox),
-    [](const ::testing::TestParamInfo<PipelinePreset> &info) {
-        return std::string(pipelinePresetName(info.param)) ==
-                       "fastest_approx"
-                   ? "fastest_approx"
-                   : pipelinePresetName(info.param);
-    });
-
-TEST(MonoGsRunSimdDeterminism, FastestApproxSameFnvOnOneTwoFourWorkers)
-{
-    // The hash reads every column's raw bytes through data(), so this
-    // also checks that a `fastest_approx` cloud is plain fp32 storage.
-    ThreadPool one(1), two(2), four(4);
-    const SimdLevel level = activeSimdLevel();
-    const u64 a = monoGsRunHash(level, PipelinePreset::FastestApprox, &one);
-    EXPECT_EQ(a, monoGsRunHash(level, PipelinePreset::FastestApprox, &two));
-    EXPECT_EQ(a,
-              monoGsRunHash(level, PipelinePreset::FastestApprox, &four));
-}
-
-// ---------------------------------------------------------------------
-// rung sanity: fastest_approx stays close to precise
-// ---------------------------------------------------------------------
-
-TEST(SimdLadder, FastestApproxTracksPrecise)
-{
-    // `fastest_approx` differs from `precise` only in the splat kernels'
-    // exp: <= 16 ulp, a relative error of at most 16 * 2^-23 ~= 1.9e-6
-    // per alpha. A pixel is a convex blend of colours and background in
-    // [0, 1]; perturbing every alpha by a relative e moves it by at most
-    // 2e to first order, plus a few ulp of fp32 blending. (A fragment
-    // whose alpha lay within that error of alphaMin would be blended by
-    // one rung only and move its pixel by up to alphaMin; these scenes
-    // have none.)
-    for (u64 seed : {11u, 3u, 17u, 88u, 2026u}) {
-        SimdScene scene(seed);
-        ForwardContext precise =
-            renderWith(scene, PipelinePreset::Precise, nullptr);
-        ForwardContext approx =
-            renderWith(scene, PipelinePreset::FastestApprox, nullptr);
-
-        double max_approx = 0;
-        for (size_t i = 0; i < precise.result.image.pixelCount(); ++i) {
-            for (int c = 0; c < 3; ++c) {
-                max_approx = std::max(
-                    max_approx,
-                    std::abs(double(approx.result.image[i][c]) -
-                             double(precise.result.image[i][c])));
-            }
-        }
-        EXPECT_LE(max_approx, 1e-5) << "seed " << seed;
-    }
-    SUCCEED() << "dispatch level: "
-              << simdLevelName(activeSimdLevel());
 }
 
 } // namespace rtgs::gs

@@ -41,7 +41,6 @@ QUALITY_KEYS = {
     "backward_max_rel_grad_diff",
     "backward_seed_vs_f64_truth",
     "backward_rtgs_vs_f64_truth",
-    "fastest_approx_psnr_drop_db",
 }
 # Leaf-name suffixes classified as quality (smaller is better) or as
 # floor-gated (larger is better) wherever they appear in the tree.

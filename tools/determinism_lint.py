@@ -2,7 +2,8 @@
 """Project-invariant linter: determinism and concurrency contracts.
 
 The repo's determinism contracts (ROADMAP: sync-mode byte identity,
-worker-count-independent reductions, byte-identical `precise` preset)
+worker-count-independent reductions, splat kernels byte-identical to
+the serial reference under AVX2 and scalar dispatch)
 and its locking conventions are easy to break with changes that compile
 cleanly and pass tests on one machine. This linter turns the contracts
 into mechanical checks over the source tree:
@@ -37,12 +38,13 @@ into mechanical checks over the source tree:
                         belong ABOVE it, or get an explicit allow
                         marker.
   double-accum          No `double` arithmetic in the float splat
-                        kernels (src/gs/row_kernels*): precision drift
-                        between rungs breaks the A/B ladder
-                        comparisons. The exact exp (expExact and its
-                        AVX2 twin, which widen one value to double and
-                        narrow it back once) is the sanctioned,
-                        marker-delimited exception.
+                        kernels (src/gs/row_kernels*): the scalar
+                        twin, the AVX2 body and the serial reference
+                        must give the same bytes, and a widened sum
+                        drifts them apart. The exact exp (expExact
+                        and its AVX2 twin, which widen one value to
+                        double and narrow it back once) is the
+                        sanctioned, marker-delimited exception.
   tsan-filter           Every test file that uses ThreadPool /
                         MapWorker / FleetRuntime must have at least
                         one test matched by the thread-sanitizer job's
@@ -291,8 +293,10 @@ def lint_file(src, relpath):
         if is_row_kernel and DOUBLE_RE.search(line):
             hit(lineno, "double-accum",
                 "double-precision arithmetic in a float splat kernel; "
-                "widening accumulators drifts the rung A/B contracts — "
-                "keep kernels fp32 (see the sanctioned exp exception)")
+                "a widened accumulator drifts the scalar twin, the AVX2 "
+                "body and the serial reference apart, and they must give "
+                "the same bytes — keep kernels fp32 (see the sanctioned "
+                "exp exception)")
 
     findings.extend(check_unguarded_fields(src, relpath))
     return findings

@@ -1,9 +1,10 @@
 // det-lint-path: src/gs/row_kernels_fixture.cc
 // det-lint-expect: double-accum
 //
-// Double-precision accumulation inside a float row kernel: the widened
-// sum drifts away from the fp32 rungs and breaks the ladder A/B
-// comparisons.
+// Double-precision accumulation inside a float splat kernel: the
+// widened sum drifts away from the fp32 arithmetic of the scalar twin,
+// the AVX2 body and the serial reference, which must give the same
+// bytes.
 #include <cstddef>
 
 float
