@@ -217,8 +217,8 @@ timeMs(Fn &&fn, int reps, double &wall_ms, double &cpu_ms)
  * slot covering a 16-row x 256-px tile, every fragment blending — so
  * the measurement isolates the per-fragment arithmetic (exp + blend
  * recurrence) from tile scheduling, binning and projection. Two tables:
- * the scalar twin (the baseline) and the table at the active dispatch
- * level. With AVX2 dispatched, the AVX2 body must beat the scalar twin
+ * the scalar table (the baseline) and the table at the active dispatch
+ * level. With AVX2 dispatched, the AVX2 table must beat the scalar table
  * by >= 1.5x wall-clock; on scalar-only hosts the two are the same
  * table and the numbers are recorded without a gate.
  */
@@ -662,10 +662,10 @@ writeComparison()
                      rtgs_vs_gt, seed_vs_gt);
         return 1;
     }
-    // Splat-kernel gate: the AVX2 body must beat the scalar twin by
+    // Splat-kernel gate: the AVX2 table must beat the scalar table by
     // >= 1.5x wall-clock. Only meaningful when AVX2 actually
     // dispatched — on scalar-only hosts both timings are the scalar
-    // twin and are recorded without a gate.
+    // table and are recorded without a gate.
     if (activeSimdLevel() >= SimdLevel::Avx2 && kt.speedup < 1.5) {
         std::fprintf(stderr, "FAIL: AVX2 splat kernel below 1.5x (%.2fx)\n",
                      kt.speedup);

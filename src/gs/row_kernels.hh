@@ -12,17 +12,20 @@
  * cutoff-ellipse clip and the per-splat record write; the kernels own
  * the per-pixel arithmetic.
  *
- * One kernel pair per ISA:
- *  - scalar twin — the fallback when AVX2 is unavailable.
- *  - AVX2 body — 8 lanes per step, compiled in one TU with -mavx2 and
- *    selected only when CPUID reports support (common/cpu_features.hh).
- * The two run the same IEEE operations per lane in the same order, with
- * no FMA (the library pins -ffp-contract=off and the AVX2 TU gets
- * -mavx2 alone), call the same exact exp, and the backward sums every
- * per-splat gradient in one fixed order (8 lane partial sums, one
- * reduction tree; see BackwardSplatFn). They therefore give the same
- * bytes, and the serial reference, which calls the same expExact, gives
- * them too.
+ * One template body, two lane types: the forward, the backward and the
+ * double core of the exact exp are written once over a lane type
+ * (gs/row_kernels_body.hh) and instantiated twice:
+ *  - scalar table — one pixel per step (gs/row_kernels.cc); the
+ *    fallback when AVX2 is unavailable.
+ *  - AVX2 table — 8 lanes per step (gs/row_kernels_avx2.cc), compiled
+ *    in one TU with -mavx2 and selected only when CPUID reports support
+ *    (common/cpu_features.hh).
+ * Both run the same IEEE operations per lane in the same order, by
+ * construction, with no FMA (the library pins -ffp-contract=off and the
+ * AVX2 TU gets -mavx2 alone), and the backward sums every per-splat
+ * gradient in one fixed order (8 lane partial sums, one reduction tree;
+ * see BackwardSplatFn). They therefore give the same bytes, and the
+ * serial reference, which calls the same expExact, gives them too.
  */
 
 #ifndef RTGS_GS_ROW_KERNELS_HH
@@ -115,7 +118,7 @@ struct BackwardTileState
  * tile's rear state. Rows whose `row_ce` (indexed py - y0) is at most
  * the slot are skipped: every pixel there terminated earlier.
  *
- * Summation order, shared by both twins: each of the ten sums keeps 8
+ * Summation order, shared by both tables: each of the ten sums keeps 8
  * lane partial sums over all rows of the splat, lane k taking the
  * columns with (px - sx0) mod 8 == k, rows in order; the partials are
  * reduced once, as ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)).
@@ -140,7 +143,7 @@ struct SplatKernels
 
 /**
  * Pick the kernel table at an explicit SIMD level: the AVX2 table when
- * the level allows and the binary carries it, else the scalar twin.
+ * the level allows and the binary carries it, else the scalar table.
  */
 const SplatKernels &selectSplatKernels(SimdLevel level);
 
@@ -157,9 +160,10 @@ selectSplatKernels()
  * degree-8 Taylor polynomial in Estrin form with plain mul/add, scales
  * by 2^n through the exponent bits and narrows to float once. Within
  * 1 ulp of std::exp (every float in [-87, 0] checked, the rest of the
- * range on a strided sweep); NaN stays NaN. The AVX2 twin runs the
- * same operations and gives the same bytes. Called by both kernel
- * twins, the serial reference forward and the pixel-major backward.
+ * range on a strided sweep); NaN stays NaN. The AVX2 table runs the
+ * same core on 4-double lanes and gives the same bytes. Called by the
+ * scalar kernels, the serial reference forward and the pixel-major
+ * backward.
  */
 Real expExact(Real x);
 

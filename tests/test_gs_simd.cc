@@ -7,7 +7,9 @@
  *    two independent loop structures, one bit pattern), and the AVX2
  *    body and the scalar twin give the same bytes: the exact exp, the
  *    forward outputs, the backward's per-splat records and a whole
- *    MonoGS run;
+ *    MonoGS run, plus both tables called directly on crafted edge
+ *    footprints (every tail length, clamped alpha, terminated pixels,
+ *    skipped rows);
  *  - the exact exp honours its <= 1 ulp bound over the live power
  *    range, on whatever path the process dispatches to (AVX2 or
  *    scalar);
@@ -17,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -212,6 +215,150 @@ monoGsRunHash(SimdLevel level)
     return hash;
 }
 
+/** Crafted splats and their footprints in one 16x16 tile at (32, 48). */
+struct EdgeStack
+{
+    static constexpr u32 kX0 = 32, kY0 = 48, kSide = 16;
+    std::vector<HotSplat> splats;
+    std::vector<SplatFootprint> fps;
+};
+
+/**
+ * Footprints of every width 1..16 at several x offsets, so every 8-lane
+ * tail length occurs; most splats have opacity 1 and every other one is
+ * centred on a pixel, so raw alpha passes alphaMax and the clamped path
+ * runs. Three flat, clamped splats first terminate every pixel of rows
+ * 12..15, which the backward then skips through row_ce.
+ */
+EdgeStack
+edgeStack()
+{
+    const RenderSettings settings;
+    EdgeStack s;
+    Rng rng(27);
+    auto add = [&](u32 ox, u32 w, u32 oy, u32 h, Real opacity, Real cxx,
+                   Real cxy, Real cyy, bool centred) {
+        const u32 sx0 = EdgeStack::kX0 + ox, sy0 = EdgeStack::kY0 + oy;
+        HotSplat g{};
+        g.mx = static_cast<Real>(sx0) +
+               (centred ? static_cast<Real>(w / 2) + Real(0.5)
+                        : static_cast<Real>(rng.uniform(0, w)));
+        g.my = static_cast<Real>(sy0) +
+               (centred ? static_cast<Real>(h / 2) + Real(0.5)
+                        : static_cast<Real>(rng.uniform(0, h)));
+        g.cxx = cxx;
+        g.cxy = cxy;
+        g.cyy = cyy;
+        g.powerSkip = std::log(settings.alphaMin / opacity) - Real(1e-3);
+        g.opacity = opacity;
+        g.r = static_cast<Real>(rng.uniform(0, 1));
+        g.g = static_cast<Real>(rng.uniform(0, 1));
+        g.b = static_cast<Real>(rng.uniform(0, 1));
+        g.depth = static_cast<Real>(rng.uniform(1, 5));
+        const u32 slot = static_cast<u32>(s.splats.size());
+        s.splats.push_back(g);
+        s.fps.push_back({sx0, sy0, sx0 + w, sy0 + h, EdgeStack::kX0,
+                         EdgeStack::kY0, EdgeStack::kSide, slot});
+    };
+    for (int i = 0; i < 3; ++i)
+        add(0, 16, 12, 4, Real(1), Real(1e-3), Real(0), Real(1e-3), true);
+    for (u32 w = 1; w <= 16; ++w) {
+        for (u32 ox : {0u, 1u, 5u, 8u, 16u - w}) {
+            if (ox + w > 16)
+                continue;
+            const u32 oy = static_cast<u32>(rng.uniformInt(12));
+            const u32 h = 1 + static_cast<u32>(rng.uniformInt(16 - oy));
+            const Real cxx = static_cast<Real>(rng.uniform(0.005, 0.6));
+            const Real cyy = static_cast<Real>(rng.uniform(0.005, 0.6));
+            const Real cxy = static_cast<Real>(rng.uniform(-0.5, 0.5)) *
+                             std::sqrt(cxx * cyy);
+            const size_t n = s.splats.size();
+            const Real opacity =
+                n % 3 == 0 ? static_cast<Real>(rng.uniform(0.2, 1))
+                           : Real(1);
+            add(ox, w, oy, h, opacity, cxx, cxy, cyy, n % 2 == 0);
+        }
+    }
+    return s;
+}
+
+/** Everything one kernel table writes over an EdgeStack. */
+struct EdgeRun
+{
+    std::vector<Real> fT, fR, fG, fB, fD;
+    std::vector<u32> blended, term, newlyTerminated;
+    std::vector<BackwardSplatAccum> accums;
+    std::vector<Real> bT, bAcc;
+    u32 skippedRows = 0;
+};
+
+/**
+ * Blend the stack front to back with `k`'s forward kernel, then walk it
+ * back to front with `k`'s backward kernel, seeding the backward state
+ * the way backwardTileSplatMajor does: ce is the forward's contributor
+ * count, 0 where the adjoint is zero (row 5 and every 11th pixel),
+ * and row_ce the per-row maximum.
+ */
+EdgeRun
+runEdgeStack(const SplatKernels &k, const EdgeStack &stack)
+{
+    const RenderSettings settings;
+    const SplatKernelCtx ctx{settings.alphaMin, settings.alphaMax,
+                             settings.transmittanceEps};
+    constexpr u32 side = EdgeStack::kSide;
+    const size_t n_st = size_t(side) * side + kTileStatePad;
+    const u32 n_splats = static_cast<u32>(stack.splats.size());
+
+    EdgeRun r;
+    r.fT.assign(n_st, Real(1));
+    r.fR.assign(n_st, Real(0));
+    r.fG.assign(n_st, Real(0));
+    r.fB.assign(n_st, Real(0));
+    r.fD.assign(n_st, Real(0));
+    r.blended.assign(n_st, 0);
+    r.term.assign(n_st, kRowNotTerminated);
+    const ForwardTileState fst{r.fT.data(), r.fR.data(),     r.fG.data(),
+                               r.fB.data(), r.fD.data(),     r.blended.data(),
+                               r.term.data()};
+    for (u32 s = 0; s < n_splats; ++s)
+        r.newlyTerminated.push_back(
+            k.forwardSplat(stack.splats[s], stack.fps[s], ctx, fst));
+
+    const Vec3f bg{0.1f, 0.2f, 0.3f};
+    std::vector<Real> bgT(n_st, 0), dlR(n_st, 0), dlG(n_st, 0),
+        dlB(n_st, 0), dlD(n_st, 0);
+    std::vector<u32> ce(n_st, 0), row_ce(side, 0);
+    r.bT = r.fT;
+    r.bAcc.assign(n_st, Real(0));
+    Rng rng(11);
+    for (u32 i = 0; i < side * side; ++i) {
+        const bool zero = i / side == 5 || i % 11 == 0;
+        const Vec3f dl{
+            zero ? Real(0) : static_cast<Real>(rng.uniform(-0.5, 0.5)),
+            zero ? Real(0) : static_cast<Real>(rng.uniform(-0.5, 0.5)),
+            zero ? Real(0) : static_cast<Real>(rng.uniform(-0.5, 0.5))};
+        dlR[i] = dl.x;
+        dlG[i] = dl.y;
+        dlB[i] = dl.z;
+        dlD[i] = zero ? Real(0) : static_cast<Real>(rng.uniform(-0.1, 0.1));
+        bgT[i] = r.fT[i] * bg.dot(dl);
+        ce[i] = zero                            ? 0
+                : r.term[i] != kRowNotTerminated ? r.term[i] + 1
+                                                 : n_splats;
+        row_ce[i / side] = std::max(row_ce[i / side], ce[i]);
+    }
+    for (u32 row : row_ce)
+        r.skippedRows += row < n_splats ? 1 : 0;
+    const BackwardTileState bst{r.bT.data(), r.bAcc.data(), bgT.data(),
+                                dlR.data(),  dlG.data(),    dlB.data(),
+                                dlD.data(),  ce.data()};
+    r.accums.resize(n_splats);
+    for (u32 s = n_splats; s-- > 0;)
+        r.accums[s] = k.backwardSplat(stack.splats[s], stack.fps[s], ctx,
+                                      bst, row_ce.data());
+    return r;
+}
+
 /**
  * The table the CPU can run above scalar, or nullptr when the CPU or
  * the binary has no AVX2 kernels. Gated on the detected level, not the
@@ -287,6 +434,40 @@ TEST(SimdDispatch, MonoGsRunSameFnvAtBothLevels)
         GTEST_SKIP() << "no AVX2 kernels on this CPU or binary";
     EXPECT_EQ(monoGsRunHash(SimdLevel::Scalar),
               monoGsRunHash(SimdLevel::Avx2));
+}
+
+TEST(SimdKernels, EdgeFootprintsSameBytesAtBothLevels)
+{
+    const SplatKernels *avx2 = avx2Kernels();
+    if (!avx2)
+        GTEST_SKIP() << "no AVX2 kernels on this CPU or binary";
+    const EdgeStack stack = edgeStack();
+    const EdgeRun a = runEdgeStack(selectSplatKernels(SimdLevel::Scalar),
+                                   stack);
+    const EdgeRun b = runEdgeStack(*avx2, stack);
+
+    // The stack reaches what it was built for: terminated pixels and
+    // rows the backward skips.
+    u32 terminated = 0;
+    for (u32 t : a.newlyTerminated)
+        terminated += t;
+    EXPECT_GT(terminated, 0u);
+    EXPECT_GT(a.skippedRows, 0u);
+
+    const size_t n = a.fT.size();
+    EXPECT_EQ(a.newlyTerminated, b.newlyTerminated);
+    EXPECT_TRUE(sameBytes(a.fT.data(), b.fT.data(), n));
+    EXPECT_TRUE(sameBytes(a.fR.data(), b.fR.data(), n));
+    EXPECT_TRUE(sameBytes(a.fG.data(), b.fG.data(), n));
+    EXPECT_TRUE(sameBytes(a.fB.data(), b.fB.data(), n));
+    EXPECT_TRUE(sameBytes(a.fD.data(), b.fD.data(), n));
+    EXPECT_TRUE(sameBytes(a.blended.data(), b.blended.data(), n));
+    EXPECT_TRUE(sameBytes(a.term.data(), b.term.data(), n));
+    ASSERT_EQ(a.accums.size(), b.accums.size());
+    EXPECT_TRUE(sameBytes(a.accums.data(), b.accums.data(),
+                          a.accums.size()));
+    EXPECT_TRUE(sameBytes(a.bT.data(), b.bT.data(), n));
+    EXPECT_TRUE(sameBytes(a.bAcc.data(), b.bAcc.data(), n));
 }
 
 // ---------------------------------------------------------------------

@@ -38,13 +38,14 @@ into mechanical checks over the source tree:
                         belong ABOVE it, or get an explicit allow
                         marker.
   double-accum          No `double` arithmetic in the float splat
-                        kernels (src/gs/row_kernels*): the scalar
-                        twin, the AVX2 body and the serial reference
-                        must give the same bytes, and a widened sum
-                        drifts them apart. The exact exp (expExact
-                        and its AVX2 twin, which widen one value to
-                        double and narrow it back once) is the
-                        sanctioned, marker-delimited exception.
+                        kernels (src/gs/row_kernels*): the template
+                        body's scalar and AVX2 instantiations and the
+                        serial reference must give the same bytes,
+                        and a widened sum drifts them apart. The
+                        exact exp (the body's one double core and the
+                        lane types' double lanes, which widen one
+                        value to double and narrow it back once) is
+                        the sanctioned, marker-delimited exception.
   tsan-filter           Every test file that uses ThreadPool /
                         MapWorker / FleetRuntime must have at least
                         one test matched by the thread-sanitizer job's
@@ -293,10 +294,10 @@ def lint_file(src, relpath):
         if is_row_kernel and DOUBLE_RE.search(line):
             hit(lineno, "double-accum",
                 "double-precision arithmetic in a float splat kernel; "
-                "a widened accumulator drifts the scalar twin, the AVX2 "
-                "body and the serial reference apart, and they must give "
-                "the same bytes — keep kernels fp32 (see the sanctioned "
-                "exp exception)")
+                "a widened accumulator drifts the scalar and AVX2 "
+                "kernels and the serial reference apart, and they must "
+                "give the same bytes — keep kernels fp32 (see the "
+                "sanctioned exp exception)")
 
     findings.extend(check_unguarded_fields(src, relpath))
     return findings
