@@ -7,13 +7,14 @@
  * SLAM run per pruning ratio; the LightGaussian/FlashGS rows are the
  * 50% run with their scoring passes charged to its modelled FPS.
  *
- * Expected shape: RTGS reaches higher FPS at comparable ATE because
- * its scoring is free; drift stays near-baseline up to ~50% pruning
- * and degrades sharply at 80%.
+ * Expected shape (paper): RTGS reaches higher FPS at comparable ATE
+ * because its scoring is free; drift stays near-baseline up to ~50%
+ * pruning and degrades sharply at 80%. The closing line reports the
+ * ratios these runs give, whatever they are; every FPS is modelled by
+ * hw::SystemModel, not timed.
  */
 
 #include "bench_util.hh"
-#include "core/baselines.hh"
 
 int
 main()
@@ -50,7 +51,8 @@ main()
     const RunOutcome &half = runs[2];
 
     // ---- (a) method comparison at 50% pruning ------------------------
-    TablePrinter method_table({"Method", "final ATE (cm)", "FPS",
+    TablePrinter method_table({"Method", "final ATE (cm)",
+                               "modelled FPS (hw::SystemModel)",
                                "extra scoring passes/frame"});
     method_table.setTitle("(a) pruning-method trade-off (50% ratio)");
 
@@ -73,9 +75,11 @@ main()
                    {"RTGS Algo.", half, 0},
                    {"LightGaussian", half, 1},
                    {"FlashGS", half, 2}};
+    std::vector<double> method_fps;
     for (const auto &m : methods) {
+        method_fps.push_back(fps(m.run, m.extra));
         method_table.addRow({m.name, TablePrinter::num(m.run.ateRmse * 100),
-                             TablePrinter::num(fps(m.run, m.extra), 2),
+                             TablePrinter::num(method_fps.back(), 2),
                              std::to_string(m.extra)});
     }
     method_table.print();
@@ -99,9 +103,15 @@ main()
     }
     drift_table.print();
 
-    std::printf("\nShape check vs paper Fig. 13: RTGS matches baseline "
-                "ATE at higher FPS than the\nprecise pruners; drift "
-                "stays controlled to ~50%% pruning and blows up at "
-                "80%%.\n");
+    // The paper's shape: RTGS keeps the unpruned ATE at a higher FPS
+    // than the precise pruners, and drift holds to ~50% pruning and
+    // blows up at 80%. Report what these runs show against it.
+    std::printf("\nShape check vs paper Fig. 13: RTGS (50%% pruned) has "
+                "%.2fx the unpruned ATE at %.2fx LightGaussian's and "
+                "%.2fx FlashGS's\nmodelled FPS; 80%% pruning has %.2fx "
+                "the unpruned ATE.\n",
+                half.ateRmse / no_prune.ateRmse,
+                method_fps[1] / method_fps[2], method_fps[1] / method_fps[3],
+                runs[3].ateRmse / no_prune.ateRmse);
     return 0;
 }

@@ -368,7 +368,7 @@ main()
                  "  \"bench\": \"fig15_end_to_end\",\n"
                  "  \"scale\": %.3f,\n"
                  "  \"frames\": %u,\n"
-                 "  \"fps\": [\n",
+                 "  \"modelled_fps\": [\n",
                  static_cast<double>(benchScale()), benchFrames());
     for (size_t i = 0; i < fps_rows.size(); ++i) {
         const FpsRow &r = fps_rows[i];

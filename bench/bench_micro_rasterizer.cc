@@ -6,10 +6,12 @@
  * every harness in this directory.
  *
  * After the registered benchmarks run, main() times the seed's serial
- * AoS forward path (gs/reference.hh) against the parallel pipeline
- * head-to-head, checks the rendered images agree to 1e-6 per channel,
- * and writes the result to BENCH_micro_rasterizer.json (override the
- * path with RTGS_BENCH_JSON) so the perf trajectory is recorded in CI.
+ * AoS forward and pixel-major backward (the oracle in src/oracle)
+ * against the parallel pipeline head-to-head, checks the rendered
+ * images agree to 1e-6 per channel, times the forward and backward
+ * splat kernels of the scalar and active tables, and writes the result
+ * to BENCH_micro_rasterizer.json (override the path with
+ * RTGS_BENCH_JSON) so the perf trajectory is recorded in CI.
  */
 
 #include <benchmark/benchmark.h>
@@ -25,9 +27,10 @@
 #include "common/cpu_features.hh"
 #include "common/thread_pool.hh"
 #include "data/scene.hh"
-#include "gs/reference.hh"
 #include "gs/render_pipeline.hh"
 #include "gs/row_kernels.hh"
+#include "oracle/backward_reference.hh"
+#include "oracle/reference.hh"
 
 namespace
 {
@@ -120,7 +123,7 @@ BM_ForwardRaster(benchmark::State &state)
 void
 BM_ForwardRasterSeed(benchmark::State &state)
 {
-    // The seed's serial AoS path, kept in gs/reference.hh.
+    // The seed's serial AoS path, kept in oracle/reference.hh.
     Fixture &f = fixtureFor(spacingForRange(state.range(0)));
     for (auto _ : state) {
         auto ctx = gs::forwardReference(f.cloud, f.camera, f.settings);
@@ -212,19 +215,24 @@ timeMs(Fn &&fn, int reps, double &wall_ms, double &cpu_ms)
 }
 
 /**
- * Forward splat-kernel timings: drive each table's forwardSplat over an
+ * Splat-kernel timings: drive each table's forwardSplat over an
  * identical synthetic fragment stream — one wide low-opacity splat per
  * slot covering a 16-row x 256-px tile, every fragment blending — so
  * the measurement isolates the per-fragment arithmetic (exp + blend
- * recurrence) from tile scheduling, binning and projection. Two tables:
- * the scalar table (the baseline) and the table at the active dispatch
- * level. With AVX2 dispatched, the AVX2 table must beat the scalar table
- * by >= 1.5x wall-clock; on scalar-only hosts the two are the same
- * table and the numbers are recorded without a gate.
+ * recurrence) from tile scheduling, binning and projection; then walk
+ * the same stream back to front through backwardSplat from the
+ * forward's terminal state, the way backwardTileSplatMajor does. Two
+ * tables: the scalar table (the baseline) and the table at the active
+ * dispatch level. With AVX2 dispatched, the AVX2 forward must beat the
+ * scalar forward by >= 1.5x wall-clock; on scalar-only hosts the two
+ * are the same table and the numbers are recorded without a gate. The
+ * backward timings carry no gate.
  */
 struct SplatKernelTimings
 {
     double scalar_ms = 0, active_ms = 0, speedup = 0;
+    double backward_scalar_ms = 0, backward_active_ms = 0;
+    double backward_speedup = 0;
     const char *level = "";
     const char *scalar_name = "";
     const char *active_name = "";
@@ -295,6 +303,39 @@ timeSplatKernels(int reps)
     timeMs([&] { pass(scalar); }, reps, kt.scalar_ms, cpu);
     timeMs([&] { pass(active); }, reps, kt.active_ms, cpu);
     kt.speedup = kt.scalar_ms / kt.active_ms;
+
+    // Backward from the forward's terminal state (T now holds finalT;
+    // no pixel terminated, so every pixel's contributor count is the
+    // whole stream), with a constant nonzero adjoint per pixel and a
+    // black background, so every fragment takes the full gradient path.
+    const std::vector<Real> final_t = T;
+    std::vector<Real> bT(n_st), acc(n_st), bgT(n_st, Real(0));
+    std::vector<Real> dlR(n_st, Real(0.3)), dlG(n_st, Real(-0.2));
+    std::vector<Real> dlB(n_st, Real(0.1)), dlD(n_st, Real(0.05));
+    std::vector<u32> ce(n_st, kSplats);
+    std::vector<u32> row_ce(kRows, kSplats);
+    const gs::BackwardTileState bst{bT.data(),  acc.data(), bgT.data(),
+                                    dlR.data(), dlG.data(), dlB.data(),
+                                    dlD.data(), ce.data()};
+
+    auto backward_pass = [&](const gs::SplatKernels &kern) {
+        bT = final_t;
+        std::fill(acc.begin(), acc.end(), Real(0));
+        Real sum = 0;
+        for (u32 s = kSplats; s-- > 0;) {
+            const gs::SplatFootprint fp{0, 0, kW, kRows, 0, 0, kW, s};
+            const gs::BackwardSplatAccum a =
+                kern.backwardSplat(splats[s], fp, ctx, bst, row_ce.data());
+            sum += a.dR + a.dOp + a.sXX;
+        }
+        benchmark::DoNotOptimize(sum);
+        benchmark::ClobberMemory();
+    };
+    timeMs([&] { backward_pass(scalar); }, reps, kt.backward_scalar_ms,
+           cpu);
+    timeMs([&] { backward_pass(active); }, reps, kt.backward_active_ms,
+           cpu);
+    kt.backward_speedup = kt.backward_scalar_ms / kt.backward_active_ms;
     return kt;
 }
 
@@ -603,14 +644,18 @@ writeComparison()
         "  \"splatkernel_precise_name\": \"%s\",\n"
         "  \"splatkernel_precise_scalar_ms\": %.4f,\n"
         "  \"splatkernel_precise_ms\": %.4f,\n"
-        "  \"splatkernel_precise_speedup\": %.3f\n"
+        "  \"splatkernel_precise_speedup\": %.3f,\n"
+        "  \"splatkernel_backward_scalar_ms\": %.4f,\n"
+        "  \"splatkernel_backward_ms\": %.4f,\n"
+        "  \"splatkernel_backward_speedup\": %.3f\n"
         "}\n",
         f.cloud.size(), globalPool().size() + 1, reps, seed_wall,
         rtgs_wall, speedup, seed_cpu, rtgs_cpu, cpu_speedup, diff,
         bseed_wall, brtgs_wall, backward_speedup, bseed_cpu, brtgs_cpu,
         backward_cpu_speedup, grad_diff, seed_vs_gt, rtgs_vs_gt,
         kt.level, kt.scalar_name, kt.active_name, kt.scalar_ms,
-        kt.active_ms, kt.speedup);
+        kt.active_ms, kt.speedup, kt.backward_scalar_ms,
+        kt.backward_active_ms, kt.backward_speedup);
     std::fclose(out);
 
     std::printf("\n== forward pass: seed serial vs parallel pipeline ==\n");
@@ -628,11 +673,13 @@ writeComparison()
                 backward_speedup, backward_cpu_speedup, grad_diff);
     std::printf("vs f64 ground truth: seed %.3g, rtgs %.3g\n",
                 seed_vs_gt, rtgs_vs_gt);
-    std::printf("\n== forward splat kernel (%s dispatch) ==\n",
-                kt.level);
-    std::printf("%-12s %.3f ms\n", kt.scalar_name, kt.scalar_ms);
-    std::printf("%-12s %.3f ms  %.2fx\n", kt.active_name, kt.active_ms,
-                kt.speedup);
+    std::printf("\n== splat kernels (%s dispatch) ==\n", kt.level);
+    std::printf("%-12s forward %.3f ms  backward %.3f ms\n",
+                kt.scalar_name, kt.scalar_ms, kt.backward_scalar_ms);
+    std::printf("%-12s forward %.3f ms  backward %.3f ms  "
+                "(%.2fx / %.2fx)\n",
+                kt.active_name, kt.active_ms, kt.backward_active_ms,
+                kt.speedup, kt.backward_speedup);
     std::printf("wrote %s\n", path);
 
     if (diff > 1e-6) {

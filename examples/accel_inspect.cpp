@@ -10,8 +10,8 @@
 #include <cstdio>
 
 #include "common/table.hh"
-#include "core/rtgs_api.hh"
 #include "data/dataset.hh"
+#include "hw/rtgs_api.hh"
 #include "hw/system_model.hh"
 
 int
@@ -96,12 +96,12 @@ main()
                 model.imbalance(trace, hw::RtgsFeatures::all()) * 100);
 
     // The Listing-1 handshake, traced.
-    core::RtgsRuntime runtime([](int, bool) {}, [](int) {}, [](int) {},
-                              [](int) {});
+    hw::RtgsRuntime runtime([](int, bool) {}, [](int) {}, [](int) {},
+                            [](int) {});
     const auto &events = runtime.rtgsExecute(0, /*is_keyframe=*/false);
     std::printf("\nRTGS_execute(frame 0, non-keyframe) flag trace:\n  ");
     for (auto e : events)
-        std::printf("%s ", core::rtgsEventName(e));
+        std::printf("%s ", hw::rtgsEventName(e));
     std::printf("\n");
     return 0;
 }

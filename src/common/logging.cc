@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 namespace rtgs
@@ -9,8 +10,6 @@ namespace rtgs
 
 namespace
 {
-
-LogLevel globalLevel = LogLevel::Inform;
 
 std::string
 vformat(const char *fmt, va_list ap)
@@ -38,22 +37,8 @@ emit(const char *tag, const char *fmt, va_list ap)
 } // namespace
 
 void
-setLogLevel(LogLevel level)
-{
-    globalLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return globalLevel;
-}
-
-void
 inform(const char *fmt, ...)
 {
-    if (globalLevel < LogLevel::Inform)
-        return;
     va_list ap;
     va_start(ap, fmt);
     emit("info: ", fmt, ap);
@@ -63,22 +48,9 @@ inform(const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    if (globalLevel < LogLevel::Warn)
-        return;
     va_list ap;
     va_start(ap, fmt);
     emit("warn: ", fmt, ap);
-    va_end(ap);
-}
-
-void
-debug(const char *fmt, ...)
-{
-    if (globalLevel < LogLevel::Debug)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    emit("debug: ", fmt, ap);
     va_end(ap);
 }
 
@@ -100,16 +72,6 @@ panic(const char *fmt, ...)
     emit("panic: ", fmt, ap);
     va_end(ap);
     std::abort();
-}
-
-std::string
-strFormat(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    std::string out = vformat(fmt, ap);
-    va_end(ap);
-    return out;
 }
 
 } // namespace rtgs

@@ -11,28 +11,15 @@
 #define RTGS_COMMON_LOGGING_HH
 
 #include <cstdarg>
-#include <string>
 
 namespace rtgs
 {
-
-/** Verbosity levels for status messages. */
-enum class LogLevel { Silent = 0, Warn = 1, Inform = 2, Debug = 3 };
-
-/** Set the global log verbosity (default: Inform). */
-void setLogLevel(LogLevel level);
-
-/** Current global log verbosity. */
-LogLevel logLevel();
 
 /** Print an informational message (printf-style). */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Print a warning about questionable but survivable conditions. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Print a debug message, shown only at LogLevel::Debug. */
-void debug(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * Report an unrecoverable user-level error (bad config, bad input) and
@@ -45,10 +32,6 @@ void debug(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
  * Report an internal invariant violation (an RTGS bug) and abort().
  */
 [[noreturn]] void panic(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/** printf-style formatting into a std::string. */
-std::string strFormat(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
 } // namespace rtgs

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/logging.hh"
 
@@ -22,26 +21,6 @@ RunningStat::add(double x)
     double delta = x - mean_;
     mean_ += delta / static_cast<double>(count_);
     m2_ += delta * (x - mean_);
-}
-
-void
-RunningStat::merge(const RunningStat &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    double na = static_cast<double>(count_);
-    double nb = static_cast<double>(other.count_);
-    double delta = other.mean_ - mean_;
-    double n = na + nb;
-    mean_ += delta * nb / n;
-    m2_ += other.m2_ + delta * delta * na * nb / n;
-    count_ += other.count_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
 }
 
 double
@@ -85,61 +64,6 @@ double
 Histogram::binHi(size_t i) const
 {
     return binLo(i + 1);
-}
-
-double
-Histogram::percentileApprox(double q) const
-{
-    if (total_ == 0)
-        return lo_;
-    double target = q * static_cast<double>(total_);
-    double cum = 0.0;
-    for (size_t i = 0; i < counts_.size(); ++i) {
-        cum += static_cast<double>(counts_[i]);
-        if (cum >= target)
-            return binHi(i);
-    }
-    return hi_;
-}
-
-void
-StatsRegistry::inc(const std::string &name, double delta)
-{
-    values_[name] += delta;
-}
-
-void
-StatsRegistry::set(const std::string &name, double value)
-{
-    values_[name] = value;
-}
-
-double
-StatsRegistry::get(const std::string &name) const
-{
-    auto it = values_.find(name);
-    return it == values_.end() ? 0.0 : it->second;
-}
-
-bool
-StatsRegistry::has(const std::string &name) const
-{
-    return values_.count(name) > 0;
-}
-
-void
-StatsRegistry::clear()
-{
-    values_.clear();
-}
-
-std::string
-StatsRegistry::dump() const
-{
-    std::ostringstream os;
-    for (const auto &[name, value] : values_)
-        os << name << " " << value << "\n";
-    return os.str();
 }
 
 } // namespace rtgs

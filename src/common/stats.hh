@@ -1,15 +1,13 @@
 /**
  * @file
- * Lightweight statistics primitives shared by profiling, the hardware
- * models and the benchmark harnesses.
+ * Lightweight statistics primitives for the benchmark harnesses and
+ * examples.
  */
 
 #ifndef RTGS_COMMON_STATS_HH
 #define RTGS_COMMON_STATS_HH
 
 #include <cstddef>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace rtgs
@@ -24,9 +22,6 @@ class RunningStat
   public:
     /** Add one sample. */
     void add(double x);
-
-    /** Merge another summary into this one. */
-    void merge(const RunningStat &other);
 
     size_t count() const { return count_; }
     double mean() const { return count_ ? mean_ : 0.0; }
@@ -65,46 +60,11 @@ class Histogram
     double binHi(size_t i) const;
     size_t total() const { return total_; }
 
-    /** Value below which the given fraction (0..1) of samples fall. */
-    double percentileApprox(double q) const;
-
   private:
     double lo_;
     double hi_;
     std::vector<size_t> counts_;
     size_t total_ = 0;
-};
-
-/**
- * Named scalar registry: modules record counters and gauges under
- * hierarchical dotted names; harnesses dump them as text.
- */
-class StatsRegistry
-{
-  public:
-    /** Add delta to the named counter (creating it at zero). */
-    void inc(const std::string &name, double delta = 1.0);
-
-    /** Set the named gauge. */
-    void set(const std::string &name, double value);
-
-    /** Read a value; returns 0 for unknown names. */
-    double get(const std::string &name) const;
-
-    /** True if the name has been recorded. */
-    bool has(const std::string &name) const;
-
-    /** Remove all entries. */
-    void clear();
-
-    /** All entries in name order. */
-    const std::map<std::string, double> &entries() const { return values_; }
-
-    /** Render as "name value" lines. */
-    std::string dump() const;
-
-  private:
-    std::map<std::string, double> values_;
 };
 
 } // namespace rtgs

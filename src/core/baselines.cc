@@ -1,7 +1,6 @@
 #include "core/baselines.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "common/logging.hh"
@@ -79,63 +78,6 @@ std::vector<Real>
 TamingScorer::scores() const
 {
     return trendEma_;
-}
-
-LightGaussianScore
-lightGaussianScores(const gs::GaussianCloud &cloud,
-                    const std::vector<const gs::ProjectedCloud *> &views)
-{
-    LightGaussianScore out;
-    out.scores.assign(cloud.size(), 0);
-    out.extraRenderPasses = static_cast<u32>(views.size());
-
-    for (const auto *view : views) {
-        rtgs_assert(view->size() == cloud.size());
-        for (size_t k = 0; k < cloud.size(); ++k) {
-            const gs::Projected2D &p = (*view)[k];
-            if (!p.valid)
-                continue;
-            // Hit count ~ screen footprint area; volume term from the
-            // 3D scales; opacity from the activation.
-            Real hits = p.radius * p.radius;
-            Real volume = std::exp(cloud.logScales[k].x) *
-                          std::exp(cloud.logScales[k].y) *
-                          std::exp(cloud.logScales[k].z);
-            out.scores[k] += cloud.opacity(k) *
-                             std::pow(volume, Real(1) / 3) * hits;
-        }
-    }
-    return out;
-}
-
-FlashGsScore
-flashGsScores(const gs::GaussianCloud &cloud,
-              const std::vector<const gs::ProjectedCloud *> &views)
-{
-    FlashGsScore out;
-    out.scores.assign(cloud.size(), 0);
-    // FlashGS also builds a saliency map per view (an extra image pass
-    // on top of the scoring pass).
-    out.extraRenderPasses = 2 * static_cast<u32>(views.size());
-
-    // Scene mean colour as the saliency reference.
-    Vec3f mean{};
-    for (size_t k = 0; k < cloud.size(); ++k)
-        mean += cloud.color(k);
-    if (!cloud.empty())
-        mean = mean * (Real(1) / static_cast<Real>(cloud.size()));
-
-    for (const auto *view : views) {
-        rtgs_assert(view->size() == cloud.size());
-        for (size_t k = 0; k < cloud.size(); ++k) {
-            const gs::Projected2D &p = (*view)[k];
-            if (!p.valid)
-                continue;
-            Real saliency = (cloud.color(k) - mean).norm() + Real(0.05);
-            out.scores[k] += p.opacity * p.radius * p.radius * saliency;
-        }
-    }
-    return out;
 }
 
 } // namespace rtgs::core

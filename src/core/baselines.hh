@@ -1,13 +1,12 @@
 /**
  * @file
- * Baseline Gaussian-pruning methods the paper compares against
- * (Tab. 1, Fig. 13): Taming 3DGS (gradient-trend prediction),
- * LightGaussian (multi-metric global significance) and FlashGS
- * (saliency-weighted importance). Each is reduced to its published
- * scoring rule; the extra work each rule needs beyond the SLAM
- * pipeline (additional scoring passes) is reported so the performance
- * models can charge for it — the core of the paper's argument is that
- * RTGS's scoring is free because it reuses tracking gradients.
+ * Baseline Gaussian pruning the paper compares against (Tab. 1):
+ * Taming 3DGS (gradient-trend prediction), reduced to its published
+ * scoring rule, and the keep-mask every score-ranked pruner applies.
+ * LightGaussian and FlashGS enter Fig. 13 only through the extra
+ * scoring passes the performance models charge them
+ * (hw::FrameTrace::extraScoringPasses); RTGS's scoring is free because
+ * it reuses tracking gradients.
  */
 
 #ifndef RTGS_CORE_BASELINES_HH
@@ -60,38 +59,6 @@ class TamingScorer
     std::vector<Real> lastMagnitude_;
     std::vector<Real> trendEma_;
 };
-
-/**
- * LightGaussian-style global significance: opacity x footprint volume
- * x per-view hit counts, accumulated over a set of evaluation views.
- * Requires dedicated scoring passes over the views (charged as
- * `extraRenderPasses` by the performance models).
- */
-struct LightGaussianScore
-{
-    std::vector<Real> scores;
-    /** Scoring passes over full frames the method consumed. */
-    u32 extraRenderPasses = 0;
-};
-
-LightGaussianScore lightGaussianScores(
-    const gs::GaussianCloud &cloud,
-    const std::vector<const gs::ProjectedCloud *> &views);
-
-/**
- * FlashGS-style precise importance: footprint x opacity x colour
- * saliency (deviation from the local mean colour), also needing extra
- * per-view scoring passes.
- */
-struct FlashGsScore
-{
-    std::vector<Real> scores;
-    u32 extraRenderPasses = 0;
-};
-
-FlashGsScore flashGsScores(
-    const gs::GaussianCloud &cloud,
-    const std::vector<const gs::ProjectedCloud *> &views);
 
 } // namespace rtgs::core
 

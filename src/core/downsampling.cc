@@ -48,11 +48,4 @@ DynamicDownsampler::nextScale(bool is_keyframe, u32 full_width)
     return std::min(linear, Real(1));
 }
 
-void
-DynamicDownsampler::reset()
-{
-    framesSinceKeyframe_ = 0;
-    seenKeyframe_ = false;
-}
-
 } // namespace rtgs::core

@@ -63,8 +63,6 @@ class DynamicDownsampler
     /** Frames since the last keyframe (0 right after a keyframe). */
     u32 framesSinceKeyframe() const { return framesSinceKeyframe_; }
 
-    void reset();
-
   private:
     DownsamplerConfig config_;
     u32 framesSinceKeyframe_ = 0;

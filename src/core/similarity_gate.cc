@@ -120,12 +120,4 @@ SimilarityGate::evaluate(const ImageRGB &rgb,
     return decision;
 }
 
-void
-SimilarityGate::reset()
-{
-    prevProbe_ = ImageRGB();
-    prevWorkload_ = gs::WorkloadSummary();
-    havePrevWorkload_ = false;
-}
-
 } // namespace rtgs::core

@@ -100,9 +100,6 @@ class SimilarityGate
     GateDecision evaluate(const ImageRGB &rgb,
                           const gs::WorkloadSummary *last_workload);
 
-    /** Drop all history (next evaluate() returns an ungated decision). */
-    void reset();
-
   private:
     SimilarityGateConfig config_;
     ImageRGB prevProbe_;

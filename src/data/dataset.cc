@@ -290,11 +290,4 @@ SyntheticDataset::frame(u32 index)
     return *cache_[index];
 }
 
-void
-SyntheticDataset::dropCache()
-{
-    for (auto &c : cache_)
-        c.reset();
-}
-
 } // namespace rtgs::data

@@ -30,15 +30,6 @@ Quatf::normalized() const
     return {w * inv, x * inv, y * inv, z * inv};
 }
 
-Quatf
-Quatf::operator*(const Quatf &o) const
-{
-    return {w * o.w - x * o.x - y * o.y - z * o.z,
-            w * o.x + x * o.w + y * o.z - z * o.y,
-            w * o.y - x * o.z + y * o.w + z * o.x,
-            w * o.z + x * o.y - y * o.x + z * o.w};
-}
-
 Mat3f
 Quatf::toMat() const
 {
@@ -55,12 +46,6 @@ Quatf::toMat() const
     R(2, 1) = 2 * (j * k + r * i);
     R(2, 2) = 1 - 2 * (i * i + j * j);
     return R;
-}
-
-Vec3f
-Quatf::rotate(const Vec3f &v) const
-{
-    return toMat() * v;
 }
 
 Quatf

@@ -33,16 +33,8 @@ struct Quatf
     Real norm() const;
     Quatf normalized() const;
 
-    /** Hamilton product. */
-    Quatf operator*(const Quatf &o) const;
-
-    Quatf conjugate() const { return {w, -x, -y, -z}; }
-
     /** Rotation matrix of the *normalised* quaternion. */
     Mat3f toMat() const;
-
-    /** Rotate a vector by the normalised quaternion. */
-    Vec3f rotate(const Vec3f &v) const;
 };
 
 /**

@@ -57,23 +57,6 @@ struct BackwardResult
 };
 
 /**
- * Step 4 for a single tile: walk each pixel's blended fragments in
- * reverse compositing order and accumulate 2D gradients into `acc`.
- *
- * This is the seed's pixel-major walk, kept (together with
- * backwardFull) as the bit-exact serial reference the splat-major
- * production kernel is validated against.
- *
- * @param dl_dcolor  per-pixel dL/dC (same shape as the image)
- * @param dl_ddepth  optional per-pixel dL/dDepth (nullptr to disable)
- */
-void backwardTile(u32 tile, const ProjectedCloud &projected,
-                  const TileBins &bins, const TileGrid &grid,
-                  const RenderSettings &settings,
-                  const RenderResult &result, const ImageRGB &dl_dcolor,
-                  const ImageF *dl_ddepth, Gradient2DBuffers &acc);
-
-/**
  * One (tile, stream-slot) 2D-gradient contribution emitted by the
  * splat-major backward tile kernel: the tile-local sum, over every
  * pixel that blended the splat, of the pixel-level dL/dG2D terms. Slot
@@ -105,7 +88,8 @@ struct SplatGradRecord
  *
  * The recovered per-fragment transmittance divides the running rear
  * transmittance by (1 - alpha) instead of replaying the forward
- * product, so gradients agree with backwardTile to ~1 ulp per blended
+ * product, so gradients agree with the seed's pixel-major walk
+ * (backwardTile, oracle/backward_reference.hh) to ~1 ulp per blended
  * fragment rather than bit-exactly (see src/gs/README.md).
  */
 void backwardTileSplatMajor(u32 tile, const ProjectedCloud &projected,
@@ -135,22 +119,6 @@ void preprocessBackwardOne(size_t k, const GaussianCloud &cloud,
                            const Gradient2DBuffers &g2d,
                            const ProjectedCloud &projected,
                            CloudGrads &out, Twist *pose_grad);
-
-/**
- * Full backward pass (Steps 4+5) over all tiles, single-threaded.
- * The multithreaded variant lives in RenderPipeline.
- *
- * @param compute_pose_grad accumulate dL/dP (tracking) when true
- */
-BackwardResult backwardFull(const GaussianCloud &cloud,
-                            const ProjectedCloud &projected,
-                            const TileBins &bins, const TileGrid &grid,
-                            const RenderSettings &settings,
-                            const RenderResult &result,
-                            const Camera &camera,
-                            const ImageRGB &dl_dcolor,
-                            const ImageF *dl_ddepth,
-                            bool compute_pose_grad);
 
 } // namespace rtgs::gs
 

@@ -118,18 +118,6 @@ GaussianCloud::reserve(size_t n)
     ids.mut().reserve(n);
 }
 
-void
-GaussianCloud::clear()
-{
-    positions.mut().clear();
-    logScales.mut().clear();
-    rotations.mut().clear();
-    opacityLogits.mut().clear();
-    shCoeffs.mut().clear();
-    active.mut().clear();
-    ids.mut().clear();
-}
-
 size_t
 GaussianCloud::parameterBytes() const
 {

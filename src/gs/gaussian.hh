@@ -305,9 +305,6 @@ class GaussianCloud
     /** Reserve storage for n Gaussians. */
     void reserve(size_t n);
 
-    /** Remove all Gaussians. */
-    void clear();
-
     /** Activated opacity of Gaussian k. */
     Real opacity(size_t k) const { return sigmoid(opacityLogits[k]); }
 

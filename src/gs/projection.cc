@@ -142,7 +142,6 @@ projectGaussians(const GaussianCloud &cloud, const Camera &camera,
 
             p.mean2d = mean2d;
             p.depth = t.z;
-            p.cov2d = cov2d;
             p.conic = conic;
             p.opacity = sigmoid(opacity_logits[k]);
             p.powerSkip = expSkipBound(p.opacity, settings.alphaMin);

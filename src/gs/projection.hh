@@ -46,7 +46,6 @@ struct Projected2D
 {
     Vec2f mean2d;    //!< pixel-space centre
     Real depth = 0;  //!< camera-space z
-    Sym2f cov2d;     //!< pre-blur 2D covariance (kept for BP)
     Sym2f conic;     //!< inverse of blurred covariance
     Vec3f color;     //!< activated RGB
     Real opacity = 0; //!< activated opacity

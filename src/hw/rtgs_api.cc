@@ -1,8 +1,8 @@
-#include "core/rtgs_api.hh"
+#include "hw/rtgs_api.hh"
 
 #include "common/logging.hh"
 
-namespace rtgs::core
+namespace rtgs::hw
 {
 
 const char *
@@ -90,4 +90,4 @@ RtgsRuntime::rtgsCheckStatus(int frame_id, bool blocking) const
     return status_;
 }
 
-} // namespace rtgs::core
+} // namespace rtgs::hw

@@ -16,8 +16,8 @@
  * testable without hardware.
  */
 
-#ifndef RTGS_CORE_RTGS_API_HH
-#define RTGS_CORE_RTGS_API_HH
+#ifndef RTGS_HW_RTGS_API_HH
+#define RTGS_HW_RTGS_API_HH
 
 #include <functional>
 #include <string>
@@ -25,7 +25,7 @@
 
 #include "common/types.hh"
 
-namespace rtgs::core
+namespace rtgs::hw
 {
 
 /** RTGS execution status, as returned by RTGS_check_status. */
@@ -102,6 +102,6 @@ class RtgsRuntime
     u32 framesExecuted_ = 0;
 };
 
-} // namespace rtgs::core
+} // namespace rtgs::hw
 
-#endif // RTGS_CORE_RTGS_API_HH
+#endif // RTGS_HW_RTGS_API_HH

@@ -7,19 +7,6 @@
 namespace rtgs::hw
 {
 
-const char *
-systemKindName(SystemKind kind)
-{
-    switch (kind) {
-      case SystemKind::GpuBaseline: return "GPU";
-      case SystemKind::GpuDistwar: return "DISTWAR";
-      case SystemKind::RtgsNoMapping: return "RTGS w/o mapping";
-      case SystemKind::RtgsFull: return "RTGS";
-      case SystemKind::GauSpu: return "GauSPU";
-    }
-    return "unknown";
-}
-
 namespace
 {
 

@@ -56,8 +56,6 @@ enum class SystemKind
     GauSpu,         //!< GauSPU comparator
 };
 
-const char *systemKindName(SystemKind kind);
-
 /** The integrated model. */
 class SystemModel
 {

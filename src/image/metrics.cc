@@ -117,19 +117,4 @@ ssim(const ImageRGB &a, const ImageRGB &b)
     return windows ? total / static_cast<double>(windows) : 1.0;
 }
 
-double
-depthMae(const ImageF &a, const ImageF &b)
-{
-    rtgs_assert(a.sameShape(b), "images must share a shape");
-    double acc = 0.0;
-    size_t valid = 0;
-    for (size_t i = 0; i < a.pixelCount(); ++i) {
-        if (a[i] <= 0 || b[i] <= 0)
-            continue;
-        acc += std::abs(static_cast<double>(a[i]) - b[i]);
-        ++valid;
-    }
-    return valid ? acc / static_cast<double>(valid) : 0.0;
-}
-
 } // namespace rtgs

@@ -30,9 +30,6 @@ double psnr(const ImageRGB &a, const ImageRGB &b);
  */
 double ssim(const ImageRGB &a, const ImageRGB &b);
 
-/** Mean absolute depth error, ignoring pixels where either depth <= 0. */
-double depthMae(const ImageF &a, const ImageF &b);
-
 } // namespace rtgs
 
 #endif // RTGS_IMAGE_METRICS_HH

@@ -6,20 +6,16 @@
 namespace rtgs
 {
 
-namespace
-{
-
 /**
- * Area-weighted reduction shared by RGB and scalar images. For each output
- * pixel we integrate the overlapping source pixels weighted by overlap
- * area, which is exact for arbitrary scale factors.
+ * Area-weighted reduction: for each output pixel we integrate the
+ * overlapping source pixels weighted by overlap area, which is exact for
+ * arbitrary scale factors.
  */
-template <typename T>
-Image<T>
-resizeBoxImpl(const Image<T> &src, u32 out_w, u32 out_h)
+ImageRGB
+resizeBox(const ImageRGB &src, u32 out_w, u32 out_h)
 {
     rtgs_assert(out_w > 0 && out_h > 0 && !src.empty());
-    Image<T> dst(out_w, out_h);
+    ImageRGB dst(out_w, out_h);
     double sx = static_cast<double>(src.width()) / out_w;
     double sy = static_cast<double>(src.height()) / out_h;
 
@@ -33,7 +29,7 @@ resizeBoxImpl(const Image<T> &src, u32 out_w, u32 out_h)
             u32 ix0 = static_cast<u32>(x0);
             u32 ix1 = std::min<u32>(src.width(),
                                     static_cast<u32>(std::ceil(x1)));
-            T acc{};
+            Vec3f acc{};
             double weight = 0.0;
             for (u32 iy = iy0; iy < iy1; ++iy) {
                 double wy = std::min<double>(y1, iy + 1) -
@@ -47,24 +43,10 @@ resizeBoxImpl(const Image<T> &src, u32 out_w, u32 out_h)
                 }
             }
             dst.at(ox, oy) = weight > 0 ?
-                acc * static_cast<Real>(1.0 / weight) : T{};
+                acc * static_cast<Real>(1.0 / weight) : Vec3f{};
         }
     }
     return dst;
-}
-
-} // namespace
-
-ImageRGB
-resizeBox(const ImageRGB &src, u32 out_w, u32 out_h)
-{
-    return resizeBoxImpl(src, out_w, out_h);
-}
-
-ImageF
-resizeBox(const ImageF &src, u32 out_w, u32 out_h)
-{
-    return resizeBoxImpl(src, out_w, out_h);
 }
 
 ImageF
@@ -81,33 +63,6 @@ resizeNearest(const ImageF &src, u32 out_w, u32 out_h)
             u32 ix = std::min<u32>(src.width() - 1,
                                    static_cast<u32>((ox + 0.5) * sx));
             dst.at(ox, oy) = src.at(ix, iy);
-        }
-    }
-    return dst;
-}
-
-ImageRGB
-resizeBilinear(const ImageRGB &src, u32 out_w, u32 out_h)
-{
-    rtgs_assert(out_w > 0 && out_h > 0 && !src.empty());
-    ImageRGB dst(out_w, out_h);
-    double sx = static_cast<double>(src.width()) / out_w;
-    double sy = static_cast<double>(src.height()) / out_h;
-    for (u32 oy = 0; oy < out_h; ++oy) {
-        double fy = (oy + 0.5) * sy - 0.5;
-        fy = std::max(0.0, fy);
-        u32 y0 = std::min<u32>(src.height() - 1, static_cast<u32>(fy));
-        u32 y1 = std::min<u32>(src.height() - 1, y0 + 1);
-        Real ty = static_cast<Real>(fy - y0);
-        for (u32 ox = 0; ox < out_w; ++ox) {
-            double fx = (ox + 0.5) * sx - 0.5;
-            fx = std::max(0.0, fx);
-            u32 x0 = std::min<u32>(src.width() - 1, static_cast<u32>(fx));
-            u32 x1 = std::min<u32>(src.width() - 1, x0 + 1);
-            Real tx = static_cast<Real>(fx - x0);
-            Vec3f top = src.at(x0, y0) * (1 - tx) + src.at(x1, y0) * tx;
-            Vec3f bot = src.at(x0, y1) * (1 - tx) + src.at(x1, y1) * tx;
-            dst.at(ox, oy) = top * (1 - ty) + bot * ty;
         }
     }
     return dst;

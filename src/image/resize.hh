@@ -1,8 +1,7 @@
 /**
  * @file
  * Image resampling for dynamic downsampling: area-weighted box reduction
- * to an arbitrary smaller size, and bilinear upsampling for comparisons
- * at the original resolution.
+ * to an arbitrary smaller size, and nearest sampling for depth.
  */
 
 #ifndef RTGS_IMAGE_RESIZE_HH
@@ -15,12 +14,6 @@ namespace rtgs
 
 /** Area-averaged resize (intended for shrinking). */
 ImageRGB resizeBox(const ImageRGB &src, u32 out_w, u32 out_h);
-
-/** Area-averaged resize of a scalar image (depth uses plain averaging). */
-ImageF resizeBox(const ImageF &src, u32 out_w, u32 out_h);
-
-/** Bilinear resize (intended for enlarging). */
-ImageRGB resizeBilinear(const ImageRGB &src, u32 out_w, u32 out_h);
 
 /**
  * Nearest-neighbour resize for depth maps. Depth must never be

@@ -1,4 +1,4 @@
-#include "gs/reference.hh"
+#include "oracle/reference.hh"
 
 #include <algorithm>
 #include <cmath>
@@ -77,7 +77,6 @@ projectGaussiansReference(const GaussianCloud &cloud, const Camera &camera,
 
         p.mean2d = mean2d;
         p.depth = t.z;
-        p.cov2d = cov2d;
         p.conic = cov_blur.inverse();
         p.opacity = cloud.opacity(k);
 

@@ -7,14 +7,15 @@
  * production pipeline stays byte-identical to it under either SIMD
  * dispatch.
  *
- * This is NOT used by the production RenderPipeline. It exists as the
- * golden reference the parallel pipeline is validated against
- * (tests require <= 1e-6 per-channel agreement) and as the baseline the
- * micro-benchmark measures speedup from.
+ * It is built into the rtgs_oracle target, which only the tests and
+ * bench_micro_rasterizer link: the golden reference the parallel
+ * pipeline is validated against (tests require <= 1e-6 per-channel
+ * agreement) and the baseline the micro-benchmark measures speedup
+ * from.
  */
 
-#ifndef RTGS_GS_REFERENCE_HH
-#define RTGS_GS_REFERENCE_HH
+#ifndef RTGS_ORACLE_REFERENCE_HH
+#define RTGS_ORACLE_REFERENCE_HH
 
 #include <vector>
 
@@ -69,4 +70,4 @@ ReferenceForward forwardReference(const GaussianCloud &cloud,
 
 } // namespace rtgs::gs
 
-#endif // RTGS_GS_REFERENCE_HH
+#endif // RTGS_ORACLE_REFERENCE_HH

@@ -37,8 +37,8 @@
  * health/reloc state is re-bound at each turn via
  * SlamSystem::rebindFrameLoopThread(), and all rendering is bitwise
  * worker-count-independent. Sessions share no mutable state: RNG
- * draws are per-call seeded, StageProfiler / SimilarityGate /
- * health / reloc instances are per-session members.
+ * draws are per-call seeded, SimilarityGate / health / reloc
+ * instances are per-session members.
  *
  * Admission control: at most maxActiveSessions sessions are
  * schedulable; up to admissionQueueLimit more wait in arrival order

@@ -256,25 +256,4 @@ HealthMonitor::assess(const AssessInput &in)
     return out;
 }
 
-void
-HealthMonitor::reset()
-{
-    // The documented hand-off point: dropping all history also unbinds
-    // the thread affinity, so a monitor reset between runs may continue
-    // on a different thread.
-    affinity_.rebind();
-    affinity_.assertHeld();
-    state_ = HealthState::Ok;
-    consecutiveSuspect_ = 0;
-    consecutiveClean_ = 0;
-    framesSinceHealthy_ = 0;
-    needReanchor_ = false;
-    lossEma_ = 0;
-    haveLossEma_ = false;
-    lastTimestamp_ = 0;
-    haveTimestamp_ = false;
-    // relocalizations_/framesLost_ survive, like the other run stats
-    // (recoveries_, rejectedInputs_, heldPoses_).
-}
-
 } // namespace rtgs::slam

@@ -166,8 +166,8 @@ struct Assessment
  * and assess(), in order. Not thread-safe: frame-loop only — the
  * confinement is enforced by a ThreadAffinity capability, so a call
  * from a second thread panics at runtime and unguarded field access
- * fails the Clang thread-safety build. reset() is the documented
- * hand-off point for moving the monitor to another thread.
+ * fails the Clang thread-safety build. rebindThread() is the
+ * documented hand-off point for moving the monitor to another thread.
  */
 class HealthMonitor
 {
@@ -259,11 +259,8 @@ class HealthMonitor
      */
     void noteRelocalizationFailed();
 
-    /** Drop all history; the state returns to Ok. */
-    void reset();
-
     /**
-     * Hand the monitor to another thread WITHOUT losing state: forget
+     * Hand the monitor to another thread, keeping its state: forget
      * the bound thread so the next call binds the new one. Legal only
      * between frames with a happens-before edge from the old thread's
      * last touch (the fleet scheduler's turn hand-off provides it);

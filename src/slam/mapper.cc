@@ -220,11 +220,4 @@ Mapper::remapOptimizer(const std::vector<u8> &keep)
     optimizer_.remap(keep);
 }
 
-void
-Mapper::reset()
-{
-    window_.clear();
-    optimizer_.reset();
-}
-
 } // namespace rtgs::slam

@@ -155,9 +155,6 @@ class Mapper
      */
     void remapOptimizer(const std::vector<u8> &keep);
 
-    /** Reset optimiser + window state. */
-    void reset();
-
   private:
     /** The mapping iteration loop, writing into a caller-owned
      *  gradient arena. */

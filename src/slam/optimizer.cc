@@ -71,17 +71,6 @@ MapOptimizer::remap(const std::vector<u8> &keep)
 }
 
 void
-MapOptimizer::reset()
-{
-    mPos_.clear(); vPos_.clear();
-    mScale_.clear(); vScale_.clear();
-    mRot_.clear(); vRot_.clear();
-    mOpa_.clear(); vOpa_.clear();
-    mSh_.clear(); vSh_.clear();
-    stepCount_ = 0;
-}
-
-void
 MapOptimizer::step(gs::GaussianCloud &cloud, const gs::CloudGrads &grads)
 {
     rtgs_assert(grads.size() == cloud.size());
@@ -151,14 +140,6 @@ PoseOptimizer::setLearningRates(Real lr_trans, Real lr_rot)
 {
     lrTrans_ = lr_trans;
     lrRot_ = lr_rot;
-}
-
-void
-PoseOptimizer::reset()
-{
-    m_ = Twist{};
-    v_ = Twist{};
-    stepCount_ = 0;
 }
 
 Twist

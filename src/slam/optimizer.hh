@@ -54,9 +54,6 @@ class MapOptimizer
     /** Keep only entries where keep[i], mirroring cloud.compact(). */
     void remap(const std::vector<u8> &keep);
 
-    /** Reset all moments (e.g., after a large map edit). */
-    void reset();
-
     size_t stepCount() const { return stepCount_; }
 
   private:
@@ -91,9 +88,6 @@ class PoseOptimizer
 
     /** Adjust learning rates (e.g. per-iteration decay); keeps moments. */
     void setLearningRates(Real lr_trans, Real lr_rot);
-
-    /** Reset moments (call when tracking a new frame). */
-    void reset();
 
   private:
     Real lrTrans_;

@@ -488,7 +488,6 @@ SlamSystem::stageTrack(const data::Frame &frame, Real tracking_scale,
     }
 
     SE3 guess = init_override ? *init_override : constantVelocityGuess();
-    StageProfiler::Scope scope(profiler_, "tracking");
     Stopwatch watch;
     SE3 pose;
     if (config_.algorithm == BaseAlgorithm::PhotoSlam) {
@@ -575,7 +574,6 @@ void
 SlamSystem::runMapJob(MapJob &job)
 {
     Stopwatch watch;
-    StageProfiler::Scope scope(profiler_, "mapping");
 
     const u32 frame_index = job.record.frameIndex;
     MapBatchItem item;
@@ -815,7 +813,6 @@ SlamSystem::stageRelocalize(const data::Frame &frame,
                             Real tracking_scale, FrameReport &report,
                             SE3 &pose_out)
 {
-    StageProfiler::Scope scope(profiler_, "relocalize");
     // Score against what tracking would render against: the COW clone
     // of the newest published snapshot in async mode (refreshing it
     // here never blocks an in-flight map job), the authoritative

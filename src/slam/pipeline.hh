@@ -319,7 +319,6 @@ class SlamSystem
     }
 
     const gs::RenderPipeline &renderPipeline() const { return pipeline_; }
-    StageProfiler &profiler() { return profiler_; }
 
     /** The mapper; same quiescence contract as cloud(). */
     Mapper &mapper() RTGS_NO_THREAD_SAFETY_ANALYSIS { return mapper_; }
@@ -552,8 +551,6 @@ class SlamSystem
     gs::RenderPipeline pipeline_;
     Tracker tracker_;
     std::unique_ptr<KeyframePolicy> keyframePolicy_;
-    /** Internally synchronized. */
-    StageProfiler profiler_;
     /** Set before the first frame; read by the frame loop (track) and
      *  by map workers under stateMutex_ (map). */
     TrackIterationHook trackHook_;

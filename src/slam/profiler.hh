@@ -1,42 +1,33 @@
 /**
  * @file
- * Wall-clock stage profiler for the SLAM pipeline, producing the
- * latency breakdowns of Fig. 3: tracking vs mapping vs other at the
- * pipeline level, and per-step (preprocessing / sorting / rendering /
- * rendering BP / preprocessing BP) within a stage.
+ * Wall-clock timing for the SLAM pipeline: the per-frame
+ * FrameReport::trackSeconds and mapSeconds behind the latency
+ * breakdowns of Fig. 3.
  *
  * This file is the pipeline's only sanctioned clock site: timing is
  * observability, never an input to the computation, so determinism-
- * contracted TUs (src/gs, src/slam, src/core) must take their
- * measurements through StageProfiler::Scope or Stopwatch rather than
- * reading std::chrono clocks directly (tools/determinism_lint.py
- * enforces this).
+ * contracted TUs (src/gs, src/slam, src/core, src/oracle) must take
+ * their measurements through Stopwatch rather than reading std::chrono
+ * clocks directly (tools/determinism_lint.py enforces this).
  */
 
 #ifndef RTGS_SLAM_PROFILER_HH
 #define RTGS_SLAM_PROFILER_HH
 
 #include <chrono>
-#include <map>
-#include <string>
-
-#include "common/annotations.hh"
-#include "common/mutex.hh"
 
 namespace rtgs::slam
 {
 
 /**
  * Monotonic elapsed-time measurement; starts running on construction.
- * For timings that land in FrameReport fields rather than a profiler
- * stage.
  */
 class Stopwatch
 {
   public:
     Stopwatch() : start_(std::chrono::steady_clock::now()) {}
 
-    /** Seconds since construction or the last restart(). */
+    /** Seconds since construction. */
     double
     seconds() const
     {
@@ -45,56 +36,8 @@ class Stopwatch
             .count();
     }
 
-    void restart() { start_ = std::chrono::steady_clock::now(); }
-
   private:
     std::chrono::steady_clock::time_point start_;
-};
-
-/**
- * Accumulates wall-clock seconds per named stage. Thread-safe: with the
- * staged pipeline, tracking scopes close on the frame-loop thread while
- * mapping scopes close on pool workers, so the accumulator map is
- * guarded by a mutex.
- */
-class StageProfiler
-{
-  public:
-    /** RAII timer adding elapsed time to a stage on destruction. */
-    class Scope
-    {
-      public:
-        Scope(StageProfiler &profiler, std::string stage);
-        ~Scope();
-        Scope(const Scope &) = delete;
-        Scope &operator=(const Scope &) = delete;
-
-      private:
-        StageProfiler &profiler_;
-        std::string stage_;
-        Stopwatch watch_;
-    };
-
-    /** Add seconds to a stage directly. */
-    void add(const std::string &stage, double seconds);
-
-    /** Accumulated seconds of a stage (0 if never recorded). */
-    double seconds(const std::string &stage) const;
-
-    /** Sum across all stages. */
-    double totalSeconds() const;
-
-    /** Fraction of total time spent in a stage. */
-    double fraction(const std::string &stage) const;
-
-    /** Snapshot of all stage accumulators. */
-    std::map<std::string, double> stages() const;
-
-    void clear();
-
-  private:
-    mutable Mutex mutex_;
-    std::map<std::string, double> stages_ RTGS_GUARDED_BY(mutex_);
 };
 
 } // namespace rtgs::slam

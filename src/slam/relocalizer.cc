@@ -190,19 +190,4 @@ Relocalizer::noteOutcome(u32 frame_index, bool was_accepted)
         backoffFrames_ == 0 ? 1 : backoffFrames_ * 2);
 }
 
-void
-Relocalizer::reset()
-{
-    // Mirrors HealthMonitor::reset(): dropping all state also unbinds
-    // the thread affinity so the next user may be a different thread.
-    affinity_.rebind();
-    affinity_.assertHeld();
-    database_.clear();
-    nextAttemptFrame_ = 0;
-    backoffFrames_ = config_.backoffStartFrames;
-    attempts_ = 0;
-    accepted_ = 0;
-    candidatesScored_ = 0;
-}
-
 } // namespace rtgs::slam

@@ -247,13 +247,9 @@ class Relocalizer
         return candidatesScored_;
     }
 
-    /** Drop all state; the documented thread hand-off point. */
-    void reset();
-
     /**
-     * Hand the relocalizer to another thread WITHOUT dropping the
-     * keyframe database or backoff schedule (unlike reset()). Same
-     * legality rules as HealthMonitor::rebindThread(): between frames
+     * Hand the relocalizer to another thread, keeping the keyframe
+     * database and backoff schedule. Same legality rules as HealthMonitor::rebindThread(): between frames
      * only, with a happens-before edge from the previous owner.
      */
     void rebindThread() { affinity_.rebind(); }

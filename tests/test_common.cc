@@ -104,23 +104,6 @@ TEST(RunningStat, BasicMoments)
     EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-12);
 }
 
-TEST(RunningStat, MergeMatchesSequential)
-{
-    RunningStat all, a, b;
-    Rng rng(5);
-    for (int i = 0; i < 100; ++i) {
-        double v = rng.normal();
-        all.add(v);
-        (i < 40 ? a : b).add(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
 TEST(RunningStat, EmptyIsZero)
 {
     RunningStat s;
@@ -139,44 +122,6 @@ TEST(Histogram, BinningAndClamping)
     EXPECT_EQ(h.binCount(0), 2u);
     EXPECT_EQ(h.binCount(9), 2u);
     EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, PercentileMonotonic)
-{
-    Histogram h(0.0, 100.0, 100);
-    Rng rng(23);
-    for (int i = 0; i < 10000; ++i)
-        h.add(rng.uniform(0, 100));
-    double p25 = h.percentileApprox(0.25);
-    double p50 = h.percentileApprox(0.50);
-    double p90 = h.percentileApprox(0.90);
-    EXPECT_LE(p25, p50);
-    EXPECT_LE(p50, p90);
-    EXPECT_NEAR(p50, 50.0, 3.0);
-}
-
-TEST(StatsRegistry, IncSetGet)
-{
-    StatsRegistry reg;
-    reg.inc("frames");
-    reg.inc("frames", 2.0);
-    reg.set("fps", 31.5);
-    EXPECT_DOUBLE_EQ(reg.get("frames"), 3.0);
-    EXPECT_DOUBLE_EQ(reg.get("fps"), 31.5);
-    EXPECT_DOUBLE_EQ(reg.get("missing"), 0.0);
-    EXPECT_TRUE(reg.has("fps"));
-    EXPECT_FALSE(reg.has("missing"));
-    reg.clear();
-    EXPECT_FALSE(reg.has("fps"));
-}
-
-TEST(StatsRegistry, DumpSortedByName)
-{
-    StatsRegistry reg;
-    reg.set("b", 2);
-    reg.set("a", 1);
-    std::string d = reg.dump();
-    EXPECT_LT(d.find("a 1"), d.find("b 2"));
 }
 
 TEST(TablePrinter, AlignsColumns)

@@ -2,8 +2,7 @@
  * @file
  * Unit tests for the RTGS algorithm layer: Eq. 7 importance scoring,
  * the adaptive mask-prune protocol with its dynamic interval rule, the
- * dynamic downsampling schedule, the baseline pruners, and the
- * Listing-1 runtime protocol.
+ * dynamic downsampling schedule and the baseline pruners.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include "core/downsampling.hh"
 #include "core/importance.hh"
 #include "core/pruning.hh"
-#include "core/rtgs_api.hh"
 
 namespace rtgs::core
 {
@@ -340,114 +338,6 @@ TEST(Baselines, TamingRemapKeepsAlignment)
     auto s = scorer.scores();
     ASSERT_EQ(s.size(), 2u);
     EXPECT_LT(s[0], s[1]); // entry for old index 2 > old index 0
-}
-
-TEST(Baselines, LightGaussianChargesExtraPasses)
-{
-    auto cloud = makeCloud(4);
-    gs::ProjectedCloud view;
-    view.items.resize(4);
-    for (auto &p : view.items) {
-        p.valid = true;
-        p.radius = 3;
-        p.opacity = 0.5f;
-    }
-    std::vector<const gs::ProjectedCloud *> views{&view, &view};
-    auto result = lightGaussianScores(cloud, views);
-    EXPECT_EQ(result.extraRenderPasses, 2u);
-    for (Real s : result.scores)
-        EXPECT_GT(s, 0);
-}
-
-TEST(Baselines, FlashGsScoresSaliency)
-{
-    auto cloud = makeCloud(3);
-    // Make Gaussian 2's colour deviate strongly from the scene mean.
-    cloud.shCoeffs.mut()[2] =
-        gs::GaussianCloud::rgbToSh({0.95f, 0.05f, 0.05f});
-    gs::ProjectedCloud view;
-    view.items.resize(3);
-    for (auto &p : view.items) {
-        p.valid = true;
-        p.radius = 2;
-        p.opacity = 0.5f;
-    }
-    std::vector<const gs::ProjectedCloud *> views{&view};
-    auto result = flashGsScores(cloud, views);
-    EXPECT_GT(result.extraRenderPasses, 1u);
-    EXPECT_GT(result.scores[2], result.scores[0]);
-}
-
-TEST(RtgsApi, NonKeyframeProtocolOrder)
-{
-    std::vector<std::string> calls;
-    RtgsRuntime runtime(
-        [&](int, bool) { calls.push_back("execute"); },
-        [&](int) { calls.push_back("prune"); },
-        [&](int) { calls.push_back("pose"); },
-        [&](int) { calls.push_back("map"); });
-
-    auto &trace = runtime.rtgsExecute(7, /*is_keyframe=*/false);
-    ASSERT_EQ(calls.size(), 3u);
-    EXPECT_EQ(calls[0], "execute");
-    EXPECT_EQ(calls[1], "prune");
-    EXPECT_EQ(calls[2], "pose");
-
-    // Flag ordering per Listing 1.
-    std::vector<RtgsEvent> expected{
-        RtgsEvent::InputDone, RtgsEvent::ExecuteStart,
-        RtgsEvent::GradientReady, RtgsEvent::PruningStart,
-        RtgsEvent::PruningDone, RtgsEvent::PoseWritten,
-        RtgsEvent::FrameComplete};
-    ASSERT_EQ(trace.size(), expected.size());
-    for (size_t i = 0; i < expected.size(); ++i)
-        EXPECT_EQ(trace[i], expected[i]) << "event " << i;
-    EXPECT_EQ(runtime.rtgsCheckStatus(7), RtgsStatus::Idle);
-}
-
-TEST(RtgsApi, KeyframeSkipsPruningAndPose)
-{
-    std::vector<std::string> calls;
-    RtgsRuntime runtime(
-        [&](int, bool) { calls.push_back("execute"); },
-        [&](int) { calls.push_back("prune"); },
-        [&](int) { calls.push_back("pose"); },
-        [&](int) { calls.push_back("map"); });
-
-    auto &trace = runtime.rtgsExecute(3, /*is_keyframe=*/true);
-    ASSERT_EQ(calls.size(), 2u);
-    EXPECT_EQ(calls[0], "execute");
-    EXPECT_EQ(calls[1], "map");
-    bool saw_pruning = false;
-    for (auto e : trace)
-        saw_pruning |= e == RtgsEvent::PruningStart;
-    EXPECT_FALSE(saw_pruning);
-    EXPECT_EQ(runtime.framesExecuted(), 1u);
-}
-
-TEST(RtgsApi, StatusDuringExecution)
-{
-    RtgsRuntime *self = nullptr;
-    RtgsRuntime runtime(
-        [&](int id, bool) {
-            EXPECT_EQ(self->rtgsCheckStatus(id), RtgsStatus::Executing);
-        },
-        [&](int id) {
-            EXPECT_EQ(self->rtgsCheckStatus(id),
-                      RtgsStatus::WaitPruning);
-        },
-        nullptr, nullptr);
-    self = &runtime;
-    runtime.rtgsExecute(1, false);
-    EXPECT_EQ(runtime.rtgsCheckStatus(1, /*blocking=*/true),
-              RtgsStatus::Idle);
-}
-
-TEST(RtgsApi, EventNamesAreStable)
-{
-    EXPECT_STREQ(rtgsEventName(RtgsEvent::InputDone), "input_done");
-    EXPECT_STREQ(rtgsEventName(RtgsEvent::GradientReady),
-                 "gradient_ready");
 }
 
 } // namespace rtgs::core

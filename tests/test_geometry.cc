@@ -146,15 +146,6 @@ TEST(Quat, AxisAngleMatchesRodrigues)
     expectMatNear(Rq, Rr, 1e-5f);
 }
 
-TEST(Quat, HamiltonProductComposes)
-{
-    Quatf a = Quatf::fromAxisAngle({1, 0, 0}, Real(0.4));
-    Quatf b = Quatf::fromAxisAngle({0, 1, 0}, Real(0.7));
-    Mat3f composed = (a * b).toMat();
-    Mat3f product = a.toMat() * b.toMat();
-    expectMatNear(composed, product, 1e-5f);
-}
-
 TEST(Quat, RotationMatrixBackwardFiniteDifference)
 {
     // Scalar objective: J(q) = <A, R(q)> for a fixed matrix A.

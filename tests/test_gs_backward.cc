@@ -17,6 +17,7 @@
 
 #include "common/rng.hh"
 #include "gs/render_pipeline.hh"
+#include "oracle/backward_reference.hh"
 
 namespace rtgs::gs
 {

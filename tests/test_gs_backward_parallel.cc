@@ -21,6 +21,7 @@
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "gs/render_pipeline.hh"
+#include "oracle/backward_reference.hh"
 
 namespace rtgs::gs
 {

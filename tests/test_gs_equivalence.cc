@@ -3,7 +3,7 @@
  * Golden-equivalence tests for the parallel cache-coherent splat
  * pipeline: the parallel projection + flat serial binning + per-tile
  * depth sort + splat-major rasterisation path must reproduce the seed's
- * serial AoS pipeline (gs/reference.hh) on randomised scenes — images
+ * serial AoS pipeline (oracle/reference.hh) on randomised scenes — images
  * to 1e-6 per channel, workload counters and tile bins exactly.
  */
 
@@ -13,8 +13,9 @@
 #include <cmath>
 
 #include "common/rng.hh"
-#include "gs/reference.hh"
 #include "gs/render_pipeline.hh"
+#include "oracle/backward_reference.hh"
+#include "oracle/reference.hh"
 
 namespace rtgs::gs
 {

@@ -109,12 +109,18 @@ TEST(Projection, IsotropicCovarianceScalesWithFocal)
     Real s = Real(0.05);
     cloud.pushIsotropic({0, 0, 1}, s, Real(0.5), {1, 1, 1});
     Camera cam = testCamera();
-    ProjectedCloud proj = projectGaussians(cloud, cam, {});
+    RenderSettings settings;
+    ProjectedCloud proj = projectGaussians(cloud, cam, settings);
     ASSERT_TRUE(proj[0].valid);
+    // The pre-blur EWA covariance: the inverse of the conic, minus the
+    // blur projection adds to the diagonal.
+    Sym2f cov2d = proj[0].conic.inverse();
+    cov2d.xx -= settings.covBlur;
+    cov2d.yy -= settings.covBlur;
     Real expected = cam.intr.fx * s;
-    EXPECT_NEAR(std::sqrt(proj[0].cov2d.xx), expected, expected * 0.05);
-    EXPECT_NEAR(std::sqrt(proj[0].cov2d.yy), expected, expected * 0.05);
-    EXPECT_NEAR(proj[0].cov2d.xy, 0, expected * expected * 0.05);
+    EXPECT_NEAR(std::sqrt(cov2d.xx), expected, expected * 0.05);
+    EXPECT_NEAR(std::sqrt(cov2d.yy), expected, expected * 0.05);
+    EXPECT_NEAR(cov2d.xy, 0, expected * expected * 0.05);
 }
 
 TEST(Tiling, SmallGaussianInSingleTile)

@@ -24,14 +24,15 @@
 #include <cstring>
 #include <vector>
 
+#include "byte_identity.hh"
 #include "common/cpu_features.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "data/dataset.hh"
 #include "gs/backward.hh"
-#include "gs/reference.hh"
 #include "gs/render_pipeline.hh"
 #include "gs/row_kernels.hh"
+#include "oracle/reference.hh"
 #include "slam/pipeline.hh"
 
 namespace rtgs::gs
@@ -157,18 +158,6 @@ runAt(const SimdScene &scene, SimdLevel level)
                                f.result, dl_dcolor, &dl_ddepth,
                                run.records.data());
     return run;
-}
-
-/** FNV-1a over a byte range. */
-u64
-fnv1a(const void *bytes, size_t n, u64 hash)
-{
-    const unsigned char *p = static_cast<const unsigned char *>(bytes);
-    for (size_t i = 0; i < n; ++i) {
-        hash ^= p[i];
-        hash *= 1099511628211ull;
-    }
-    return hash;
 }
 
 /**

@@ -16,8 +16,8 @@
 
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
-#include "gs/reference.hh"
 #include "gs/sorting.hh"
+#include "oracle/reference.hh"
 
 namespace rtgs::gs
 {

@@ -10,9 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 
+#include "byte_identity.hh"
 #include "data/fault_injector.hh"
 #include "slam/health_monitor.hh"
 #include "slam/pipeline.hh"
@@ -57,39 +57,6 @@ enabledHealth()
     HealthConfig health;
     health.enabled = true;
     return health;
-}
-
-/** Byte-compare two SE3 sequences. */
-bool
-trajectoriesIdentical(const std::vector<SE3> &a, const std::vector<SE3> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-        if (std::memcmp(&a[i].rot, &b[i].rot, sizeof(a[i].rot)) != 0 ||
-            std::memcmp(&a[i].trans, &b[i].trans, sizeof(a[i].trans)) !=
-                0) {
-            return false;
-        }
-    }
-    return true;
-}
-
-/** Byte-compare the parameter arrays of two clouds. */
-bool
-cloudsIdentical(const gs::GaussianCloud &a, const gs::GaussianCloud &b)
-{
-    auto eq = [](const auto &u, const auto &v) {
-        using T = typename std::decay_t<decltype(u)>::value_type;
-        return u.size() == v.size() &&
-               (u.empty() ||
-                std::memcmp(u.data(), v.data(), u.size() * sizeof(T)) ==
-                    0);
-    };
-    return eq(a.positions, b.positions) && eq(a.logScales, b.logScales) &&
-           eq(a.rotations, b.rotations) &&
-           eq(a.opacityLogits, b.opacityLogits) &&
-           eq(a.shCoeffs, b.shCoeffs) && eq(a.active, b.active);
 }
 
 data::Frame

@@ -3,15 +3,19 @@
  * Hardware-model tests: trace capture consistency, the GPU baseline's
  * divergence/atomic behaviour, the plug-in's pairing/streaming/R&B/GMU
  * mechanisms (each against hand-computable cases), system-level
- * orderings the paper reports, and the energy/area scaling model.
+ * orderings the paper reports, the energy/area scaling model, and the
+ * Listing-1 runtime protocol.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "data/scene.hh"
 #include "hw/energy.hh"
+#include "hw/rtgs_api.hh"
 #include "hw/system_model.hh"
 
 namespace rtgs::hw
@@ -375,6 +379,78 @@ TEST(Config, Table4SramTotal)
     EXPECT_EQ(cfg.reCount, 16u);
     EXPECT_EQ(cfg.gmuCount, 4u);
     EXPECT_NEAR(cfg.powerWatts, 8.11, 1e-9);
+}
+
+TEST(RtgsApi, NonKeyframeProtocolOrder)
+{
+    std::vector<std::string> calls;
+    RtgsRuntime runtime(
+        [&](int, bool) { calls.push_back("execute"); },
+        [&](int) { calls.push_back("prune"); },
+        [&](int) { calls.push_back("pose"); },
+        [&](int) { calls.push_back("map"); });
+
+    auto &trace = runtime.rtgsExecute(7, /*is_keyframe=*/false);
+    ASSERT_EQ(calls.size(), 3u);
+    EXPECT_EQ(calls[0], "execute");
+    EXPECT_EQ(calls[1], "prune");
+    EXPECT_EQ(calls[2], "pose");
+
+    // Flag ordering per Listing 1.
+    std::vector<RtgsEvent> expected{
+        RtgsEvent::InputDone, RtgsEvent::ExecuteStart,
+        RtgsEvent::GradientReady, RtgsEvent::PruningStart,
+        RtgsEvent::PruningDone, RtgsEvent::PoseWritten,
+        RtgsEvent::FrameComplete};
+    ASSERT_EQ(trace.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i)
+        EXPECT_EQ(trace[i], expected[i]) << "event " << i;
+    EXPECT_EQ(runtime.rtgsCheckStatus(7), RtgsStatus::Idle);
+}
+
+TEST(RtgsApi, KeyframeSkipsPruningAndPose)
+{
+    std::vector<std::string> calls;
+    RtgsRuntime runtime(
+        [&](int, bool) { calls.push_back("execute"); },
+        [&](int) { calls.push_back("prune"); },
+        [&](int) { calls.push_back("pose"); },
+        [&](int) { calls.push_back("map"); });
+
+    auto &trace = runtime.rtgsExecute(3, /*is_keyframe=*/true);
+    ASSERT_EQ(calls.size(), 2u);
+    EXPECT_EQ(calls[0], "execute");
+    EXPECT_EQ(calls[1], "map");
+    bool saw_pruning = false;
+    for (auto e : trace)
+        saw_pruning |= e == RtgsEvent::PruningStart;
+    EXPECT_FALSE(saw_pruning);
+    EXPECT_EQ(runtime.framesExecuted(), 1u);
+}
+
+TEST(RtgsApi, StatusDuringExecution)
+{
+    RtgsRuntime *self = nullptr;
+    RtgsRuntime runtime(
+        [&](int id, bool) {
+            EXPECT_EQ(self->rtgsCheckStatus(id), RtgsStatus::Executing);
+        },
+        [&](int id) {
+            EXPECT_EQ(self->rtgsCheckStatus(id),
+                      RtgsStatus::WaitPruning);
+        },
+        nullptr, nullptr);
+    self = &runtime;
+    runtime.rtgsExecute(1, false);
+    EXPECT_EQ(runtime.rtgsCheckStatus(1, /*blocking=*/true),
+              RtgsStatus::Idle);
+}
+
+TEST(RtgsApi, EventNamesAreStable)
+{
+    EXPECT_STREQ(rtgsEventName(RtgsEvent::InputDone), "input_done");
+    EXPECT_STREQ(rtgsEventName(RtgsEvent::GradientReady),
+                 "gradient_ready");
 }
 
 } // namespace rtgs::hw

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "byte_identity.hh"
 #include "common/thread_pool.hh"
 #include "data/scene.hh"
 #include "slam/evaluation.hh"
@@ -49,22 +50,6 @@ poseAt(u32 i)
     pose.trans = {Real(0.1) * static_cast<Real>(i),
                   Real(0.05) * static_cast<Real>(i), Real(0)};
     return pose;
-}
-
-/** Byte-compare two SE3 sequences. */
-bool
-trajectoriesIdentical(const std::vector<SE3> &a,
-                      const std::vector<SE3> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-        if (std::memcmp(&a[i].rot, &b[i].rot, sizeof(a[i].rot)) != 0 ||
-            std::memcmp(&a[i].trans, &b[i].trans,
-                        sizeof(a[i].trans)) != 0)
-            return false;
-    }
-    return true;
 }
 
 bool

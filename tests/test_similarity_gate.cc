@@ -147,16 +147,6 @@ TEST(SimilarityGate, StaticFramesGateDynamicFramesDoNot)
     EXPECT_EQ(moved.budgetScale, Real(1));
 }
 
-TEST(SimilarityGate, ResetForgetsHistory)
-{
-    SimilarityGate gate(enabledConfig());
-    ImageRGB a = flatImage(64, 48, Real(0.5));
-    gate.evaluate(a, nullptr);
-    gate.reset();
-    auto d = gate.evaluate(a, nullptr);
-    EXPECT_FALSE(d.gated) << "post-reset frame must be ungated";
-}
-
 TEST(SimilarityGate, WorkloadSignalFlowsThroughEvaluate)
 {
     SimilarityGateConfig cfg = enabledConfig();

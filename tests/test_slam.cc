@@ -1,13 +1,12 @@
 /**
  * @file
  * SLAM substrate tests: loss gradients, Adam optimizers, keyframe
- * policies, ATE/alignment, and the stage profiler.
+ * policies and ATE/alignment.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hh"
@@ -15,7 +14,6 @@
 #include "slam/keyframe.hh"
 #include "slam/loss.hh"
 #include "slam/optimizer.hh"
-#include "slam/profiler.hh"
 
 namespace rtgs::slam
 {
@@ -299,49 +297,5 @@ TEST(Ate, CumulativeIsMonotonicForDrift)
     EXPECT_LT(cum[2], cum[14]);
 }
 
-TEST(Profiler, AccumulatesAndFractions)
-{
-    StageProfiler prof;
-    prof.add("tracking", 3.0);
-    prof.add("mapping", 1.0);
-    prof.add("tracking", 1.0);
-    EXPECT_DOUBLE_EQ(prof.seconds("tracking"), 4.0);
-    EXPECT_DOUBLE_EQ(prof.totalSeconds(), 5.0);
-    EXPECT_DOUBLE_EQ(prof.fraction("tracking"), 0.8);
-    EXPECT_DOUBLE_EQ(prof.seconds("unknown"), 0.0);
-}
-
-TEST(Profiler, ScopeMeasuresTime)
-{
-    StageProfiler prof;
-    {
-        StageProfiler::Scope scope(prof, "work");
-        volatile double x = 0;
-        for (int i = 0; i < 100000; ++i)
-            x = x + 1;
-    }
-    EXPECT_GT(prof.seconds("work"), 0.0);
-}
-
-TEST(Profiler, ConcurrentScopesRecordSafely)
-{
-    // With async mapping, tracking scopes close on the frame loop while
-    // mapping scopes close on pool workers; the accumulators must take
-    // every update (checked under TSan in CI).
-    StageProfiler prof;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
-        threads.emplace_back([&prof, t] {
-            const char *stage = t % 2 == 0 ? "tracking" : "mapping";
-            for (int i = 0; i < 500; ++i)
-                prof.add(stage, 0.001);
-        });
-    }
-    for (auto &th : threads)
-        th.join();
-    EXPECT_NEAR(prof.seconds("tracking"), 1.0, 1e-9);
-    EXPECT_NEAR(prof.seconds("mapping"), 1.0, 1e-9);
-    EXPECT_EQ(prof.stages().size(), 2u);
-}
 
 } // namespace rtgs::slam

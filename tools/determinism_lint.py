@@ -10,8 +10,8 @@ into mechanical checks over the source tree:
 
   unordered-container   No iteration-ordered use of std::unordered_*
                         in determinism-contracted dirs (src/gs,
-                        src/slam, src/core): hash-order leaks into
-                        results.
+                        src/slam, src/core, src/oracle): hash-order
+                        leaks into results.
   pointer-keyed         No std::map/std::set keyed by a raw pointer in
                         contracted dirs: address order varies run to
                         run.
@@ -57,6 +57,13 @@ into mechanical checks over the source tree:
                         process-global pool reintroduces the hidden
                         cross-session coupling the fleet exists to
                         remove.
+  layering              No file compiled into the rtgs library (src/
+                        except src/hw and src/oracle) includes a header
+                        from src/hw (the hardware model, rtgs_model) or
+                        src/oracle (the serial splat oracle,
+                        rtgs_oracle): the SLAM path reads no modelled
+                        number and carries one implementation of the
+                        splat math.
 
 Escapes (sparingly, with a reason in the surrounding comment):
 
@@ -81,11 +88,13 @@ import re
 import sys
 
 # Directories under the byte-determinism contract.
-CONTRACT_DIRS = ("src/gs", "src/slam", "src/core")
+CONTRACT_DIRS = ("src/gs", "src/slam", "src/core", "src/oracle")
 # Sanctioned sites.
 RNG_FILES = ("src/common/rng.hh", "src/common/rng.cc")
-PROFILER_FILES = ("src/slam/profiler.hh", "src/slam/profiler.cc")
+PROFILER_FILES = ("src/slam/profiler.hh",)
 ROW_KERNEL_GLOB = "src/gs/row_kernels*"
+# The directories built into their own libraries rather than rtgs.
+NON_RTGS_DIRS = ("src/hw", "src/oracle")
 
 ALL_RULES = (
     "unordered-container",
@@ -98,6 +107,7 @@ ALL_RULES = (
     "double-accum",
     "tsan-filter",
     "global-pool",
+    "layering",
 )
 
 
@@ -230,6 +240,11 @@ ATOMIC_FLOAT_RE = re.compile(
 DOUBLE_RE = re.compile(r"\bdouble\b|\b__m256d\b|_mm256_\w+_pd\b|\b_pd\b")
 GLOBAL_POOL_RE = re.compile(r"\bglobalPool\s*\(")
 FLEET_GLOB = "src/slam/fleet_*"
+# Matched against the RAW line (include paths are string literals);
+# the stripped line must still start with #include, so a commented-out
+# include never fires.
+INCLUDE_DIRECTIVE_RE = re.compile(r"^\s*#\s*include\b")
+NON_RTGS_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"](hw|oracle)/')
 
 MUTEX_DECL_RE = re.compile(r"^\s*(mutable\s+)?(rtgs::)?Mutex\s+\w+_\s*;")
 EXEMPT_MEMBER_RE = re.compile(
@@ -244,6 +259,11 @@ def in_contract_dir(relpath):
     return any(relpath.startswith(d + "/") for d in CONTRACT_DIRS)
 
 
+def in_rtgs_library(relpath):
+    return relpath.startswith("src/") and not any(
+        relpath.startswith(d + "/") for d in NON_RTGS_DIRS)
+
+
 def lint_file(src, relpath):
     findings = []
 
@@ -256,8 +276,16 @@ def lint_file(src, relpath):
     is_profiler = relpath in PROFILER_FILES
     is_row_kernel = fnmatch.fnmatch(relpath, ROW_KERNEL_GLOB)
     is_fleet = fnmatch.fnmatch(relpath, FLEET_GLOB)
+    is_rtgs = in_rtgs_library(relpath)
 
     for lineno, line in enumerate(src.code_lines, 1):
+        if (is_rtgs and INCLUDE_DIRECTIVE_RE.match(line) and
+                NON_RTGS_INCLUDE_RE.match(src.raw_lines[lineno - 1])):
+            hit(lineno, "layering",
+                "a file compiled into rtgs includes a header from "
+                "src/hw or src/oracle; the SLAM path must not read the "
+                "hardware model or the serial oracle — move the code "
+                "into rtgs_model / rtgs_oracle")
         if contracted and UNORDERED_RE.search(line):
             hit(lineno, "unordered-container",
                 "unordered container in a determinism-contracted dir; "
@@ -584,6 +612,18 @@ def run_self_test(root):
         failures.append("tsan-filter: false positive on a covered "
                         "fleet test file")
     checked += 4
+
+    # layering binds by directory: the model and the oracle may include
+    # their own headers, and a commented-out include is prose.
+    for pretend, text in (
+            ("src/hw/own_header.cc", '#include "hw/trace.hh"\n'),
+            ("src/oracle/own_header.cc",
+             '#include "oracle/reference.hh"\n'),
+            ("src/gs/prose.cc", '// #include "hw/trace.hh"\n')):
+        got = lint_file(SourceFile(pretend, text), pretend)
+        if any(f.rule == "layering" for f in got):
+            failures.append("layering: false positive on %s" % pretend)
+    checked += 1
 
     if failures:
         for f in failures:
