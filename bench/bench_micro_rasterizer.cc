@@ -408,8 +408,8 @@ backwardGroundTruth64(const gs::ForwardContext &ctx,
                         continue;
                     Real gval = gs::expExact(power);
                     Real raw = g.opacity * gval;
-                    bool clamped = raw > settings.alphaMax;
-                    Real alpha = clamped ? settings.alphaMax : raw;
+                    bool clamped = raw > gs::kAlphaMax;
+                    Real alpha = clamped ? gs::kAlphaMax : raw;
                     if (alpha < settings.alphaMin)
                         continue;
                     frags.push_back({s, alpha, gval, double(dxf),

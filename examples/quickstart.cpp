@@ -21,9 +21,13 @@ main()
     using namespace rtgs;
 
     // 1. A synthetic TUM-like dataset (see data::DatasetSpec presets).
+    //    The camera sweeps 0.002 revolutions per frame (~2 cm), the
+    //    rate slambench also uses: faster sweeps outrun the tracker,
+    //    and the ATE would then measure where tracking breaks down
+    //    rather than the pipeline.
     data::DatasetSpec spec = data::DatasetSpec::tumLike(/*scale=*/0.2f);
     spec.trajectory.frameCount = 24;
-    spec.trajectory.revolutions = 0.12f;
+    spec.trajectory.revolutions = 0.048f;
     data::SyntheticDataset dataset(spec);
 
     // 2. RTGS on top of the MonoGS-like base algorithm, with the

@@ -8,6 +8,17 @@
 namespace rtgs::core
 {
 
+namespace
+{
+
+/** Eq. 7 position/covariance balance (Sec. 6.1). */
+constexpr Real kLambda = Real(0.8);
+/** Tile-intersection change ratio above which the masking interval
+ *  halves, and below which it doubles (5%, Sec. 6.1). */
+constexpr Real kChangeRatioThreshold = Real(0.05);
+
+} // namespace
+
 AdaptiveGaussianPruner::AdaptiveGaussianPruner(const PrunerConfig &config)
     : config_(config)
 {
@@ -120,7 +131,7 @@ AdaptiveGaussianPruner::onIteration(gs::GaussianCloud &cloud,
         scoreAccum_.resize(cloud.size(), 0);
 
     // Reuse the tracking gradients (no extra backward pass).
-    accumulateScores(scoreAccum_, importanceScores(grads, config_.lambda));
+    accumulateScores(scoreAccum_, importanceScores(grads, kLambda));
     ++itersInInterval_;
 
     if (itersInInterval_ < stats_.currentInterval)
@@ -136,7 +147,7 @@ AdaptiveGaussianPruner::onIteration(gs::GaussianCloud &cloud,
             static_cast<double>(lastIntersections_)) /
             static_cast<double>(lastIntersections_);
         stats_.lastChangeRatio = ratio;
-        stats_.currentInterval = ratio > config_.changeRatioThreshold
+        stats_.currentInterval = ratio > kChangeRatioThreshold
             ? std::max<u32>(1, config_.initialInterval / 2)
             : 2 * config_.initialInterval;
     }

@@ -25,15 +25,13 @@
 namespace rtgs::core
 {
 
-/** Adaptive pruner configuration (paper defaults from Sec. 6.1). */
+/** Adaptive pruner configuration (paper defaults from Sec. 6.1; the
+ *  Eq. 7 balance and the change-ratio threshold are fixed in
+ *  pruning.cc). */
 struct PrunerConfig
 {
-    /** Eq. 7 position/covariance balance. */
-    Real lambda = Real(0.8);
     /** Initial masking interval K0. */
     u32 initialInterval = 5;
-    /** Tile-intersection change ratio threshold (5%). */
-    Real changeRatioThreshold = Real(0.05);
     /** Hard cap on the cumulative pruned fraction (Fig. 14a). */
     Real maxPruneRatio = Real(0.5);
     /** Fraction of active Gaussians masked per interval. */

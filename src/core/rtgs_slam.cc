@@ -7,6 +7,15 @@
 namespace rtgs::core
 {
 
+namespace
+{
+
+// Taming baseline: per-frame pruning slice and global cap.
+constexpr Real kTamingFramePruneFraction = Real(0.08);
+constexpr Real kTamingMaxPruneRatio = Real(0.5);
+
+} // namespace
+
 RtgsSlam::RtgsSlam(const RtgsSlamConfig &config,
                    const Intrinsics &intrinsics)
     : config_(config),
@@ -103,7 +112,7 @@ RtgsSlam::applyTamingPrune()
     auto &cloud = system_->trackingCloud();
     if (tamingInitial_ == 0)
         tamingInitial_ = cloud.size();
-    double cap = config_.tamingMaxPruneRatio;
+    double cap = kTamingMaxPruneRatio;
     double current = tamingInitial_
         ? static_cast<double>(tamingPruned_) /
           static_cast<double>(tamingInitial_)
@@ -119,7 +128,7 @@ RtgsSlam::applyTamingPrune()
     std::vector<Real> scores = taming_.scores();
     scores.resize(cloud.size(), 0);
     std::vector<u8> keep = keepMaskFromScores(
-        scores, config_.tamingFramePruneFraction, 64);
+        scores, kTamingFramePruneFraction, 64);
     size_t removed = 0;
     for (u8 k : keep)
         removed += k ? 0 : 1;

@@ -40,10 +40,6 @@ struct RtgsSlamConfig
      * Disabled by default.
      */
     SimilarityGateConfig gate;
-
-    /** Taming baseline: per-frame pruning slice and global cap. */
-    Real tamingFramePruneFraction = Real(0.08);
-    Real tamingMaxPruneRatio = Real(0.5);
 };
 
 /** Extra per-frame reporting on top of the base FrameReport. */

@@ -142,7 +142,7 @@ backwardTileSplatMajor(u32 tile, const ProjectedCloud &projected,
                                bw_dlD.data(), bw_ce.data()};
 
     const SplatKernels &kern = selectSplatKernels();
-    const SplatKernelCtx ctx{settings.alphaMin, settings.alphaMax,
+    const SplatKernelCtx ctx{settings.alphaMin, kAlphaMax,
                              settings.transmittanceEps};
 
     for (u32 s = cap; s-- > 0;) {

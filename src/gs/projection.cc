@@ -85,7 +85,7 @@ projectGaussians(const GaussianCloud &cloud, const Camera &camera,
 
             Vec3f t = camera.pose.apply(positions[k]);
             // Written so that a NaN depth fails the test as well.
-            if (!(t.z >= settings.nearClip && t.z <= settings.farClip))
+            if (!(t.z >= kNearClip && t.z <= kFarClip))
                 continue;
 
             // 2D mean via exact pinhole projection.
@@ -111,14 +111,14 @@ projectGaussians(const GaussianCloud &cloud, const Camera &camera,
             Sym2f cov2d = Sym2f::fromMat(TS.multTranspose(T));
 
             Sym2f cov_blur = cov2d;
-            cov_blur.xx += settings.covBlur;
-            cov_blur.yy += settings.covBlur;
+            cov_blur.xx += kCovBlur;
+            cov_blur.yy += kCovBlur;
             Real det = cov_blur.det();
             if (det <= Real(0))
                 continue;
 
             Real radius =
-                settings.radiusSigma * std::sqrt(cov_blur.maxEigen());
+                kRadiusSigma * std::sqrt(cov_blur.maxEigen());
             if (radius < Real(0.5))
                 continue;
 

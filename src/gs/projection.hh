@@ -20,25 +20,30 @@
 namespace rtgs::gs
 {
 
+/** Gaussians outside camera depths [kNearClip, kFarClip] are culled. */
+inline constexpr Real kNearClip = Real(0.05);
+inline constexpr Real kFarClip = Real(100);
+/** Low-pass filter added to 2D covariance diagonals (pixels^2). */
+inline constexpr Real kCovBlur = Real(0.3);
+/** Alpha saturation value. */
+inline constexpr Real kAlphaMax = Real(0.99);
+/** Splat radius in standard deviations. */
+inline constexpr Real kRadiusSigma = Real(3);
+
 /** Tunables shared across the rendering pipeline. */
 struct RenderSettings
 {
-    Real nearClip = Real(0.05);
-    Real farClip = Real(100);
-    /** Low-pass filter added to 2D covariance diagonals (pixels^2). */
-    Real covBlur = Real(0.3);
     /** Fragments with alpha below this are skipped. */
     Real alphaMin = Real(1) / 255;
-    /** Alpha saturation value. */
-    Real alphaMax = Real(0.99);
     /** Early ray termination threshold on transmittance. */
     Real transmittanceEps = Real(1e-4);
-    /** Tile side length in pixels (Sec. 2.1 footnote: 16x16). */
+    /** Tile side length in pixels (Sec. 2.1 footnote: 16x16). No
+     *  caller sets it, but slambench reads it, and the benchmark's
+     *  files stay as they are.
+     *  det-lint: allow(unset-config-field) */
     u32 tileSize = 16;
     /** Background colour composited behind the splats. */
     Vec3f background{0, 0, 0};
-    /** Splat radius in standard deviations. */
-    Real radiusSigma = Real(3);
 };
 
 /** A projected (2D) Gaussian: the per-Gaussian outputs of Step 1. */

@@ -92,7 +92,7 @@ rasterizeTile(u32 tile, const ProjectedCloud &projected,
         gatherTileSplats(projected, bins, tile);
     const u32 n_splats = static_cast<u32>(splats.size());
     const Real alpha_min = settings.alphaMin;
-    const Real alpha_max = settings.alphaMax;
+    const Real alpha_max = kAlphaMax;
     const Real t_eps = settings.transmittanceEps;
 
     // Splat-major traversal with per-pixel compositing state. Walking

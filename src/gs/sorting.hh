@@ -25,7 +25,8 @@ namespace rtgs::gs
  * Sort every tile range in place by ascending projected depth
  * (projected[id].depth), ties by ascending Gaussian id, in parallel over
  * tiles on `pool`. Binned depths must be positive: projectGaussians
- * keeps only depths in [nearClip, farClip], and nearClip is positive.
+ * keeps only depths in [kNearClip, kFarClip], and kNearClip is
+ * positive.
  */
 void sortTilesByDepth(TileBins &bins, const ProjectedCloud &projected,
                       ThreadPool &pool = globalPool());

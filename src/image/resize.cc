@@ -49,6 +49,16 @@ resizeBox(const ImageRGB &src, u32 out_w, u32 out_h)
     return dst;
 }
 
+ImageRGB
+resizeThumbnail(const ImageRGB &src, u32 max_width)
+{
+    u32 w = std::max<u32>(8, std::min(max_width, src.width()));
+    u32 h = std::max<u32>(
+        8, static_cast<u32>(static_cast<u64>(w) * src.height() /
+                            std::max<u32>(1, src.width())));
+    return resizeBox(src, w, h);
+}
+
 ImageF
 resizeNearest(const ImageF &src, u32 out_w, u32 out_h)
 {

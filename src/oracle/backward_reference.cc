@@ -67,8 +67,8 @@ backwardTile(u32 tile, const ProjectedCloud &projected,
                     continue;
                 Real gval = expExact(power);
                 Real raw_alpha = g.opacity * gval;
-                bool clamped = raw_alpha > settings.alphaMax;
-                Real alpha = clamped ? settings.alphaMax : raw_alpha;
+                bool clamped = raw_alpha > kAlphaMax;
+                Real alpha = clamped ? kAlphaMax : raw_alpha;
                 if (alpha < settings.alphaMin)
                     continue;
                 frags.push_back({s, alpha, gval, d, T, clamped});

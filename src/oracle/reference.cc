@@ -18,8 +18,7 @@ ReferenceTileLists::totalIntersections() const
 }
 
 ProjectedCloud
-projectGaussiansReference(const GaussianCloud &cloud, const Camera &camera,
-                          const RenderSettings &settings)
+projectGaussiansReference(const GaussianCloud &cloud, const Camera &camera)
 {
     ProjectedCloud out;
     out.items.resize(cloud.size());
@@ -33,7 +32,7 @@ projectGaussiansReference(const GaussianCloud &cloud, const Camera &camera,
             continue;
 
         Vec3f t = camera.pose.apply(cloud.positions[k]);
-        if (t.z < settings.nearClip || t.z > settings.farClip)
+        if (t.z < kNearClip || t.z > kFarClip)
             continue;
 
         // 2D mean via exact pinhole projection.
@@ -57,13 +56,13 @@ projectGaussiansReference(const GaussianCloud &cloud, const Camera &camera,
         Sym2f cov2d = Sym2f::fromMat(TS.multTranspose(T));
 
         Sym2f cov_blur = cov2d;
-        cov_blur.xx += settings.covBlur;
-        cov_blur.yy += settings.covBlur;
+        cov_blur.xx += kCovBlur;
+        cov_blur.yy += kCovBlur;
         Real det = cov_blur.det();
         if (det <= Real(0))
             continue;
 
-        Real radius = settings.radiusSigma * std::sqrt(cov_blur.maxEigen());
+        Real radius = kRadiusSigma * std::sqrt(cov_blur.maxEigen());
         if (radius < Real(0.5))
             continue;
 
@@ -172,7 +171,7 @@ rasterizeTileReference(u32 tile, const ProjectedCloud &projected,
                 Real power = Real(-0.5) * g.conic.quadForm(d);
                 if (power > 0)
                     continue;
-                Real alpha = std::min(settings.alphaMax,
+                Real alpha = std::min(kAlphaMax,
                                       g.opacity * expExact(power));
                 if (alpha < settings.alphaMin)
                     continue;
@@ -218,7 +217,7 @@ forwardReference(const GaussianCloud &cloud, const Camera &camera,
     ReferenceForward ctx;
     ctx.grid = TileGrid(camera.intr.width, camera.intr.height,
                         settings.tileSize);
-    ctx.projected = projectGaussiansReference(cloud, camera, settings);
+    ctx.projected = projectGaussiansReference(cloud, camera);
     ctx.lists = intersectTilesReference(ctx.projected, ctx.grid);
     sortTilesByDepthReference(ctx.lists, ctx.projected);
     ctx.result = rasterizeReference(ctx.projected, ctx.lists, ctx.grid,

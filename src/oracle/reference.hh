@@ -37,8 +37,7 @@ struct ReferenceTileLists
  * Projected2D::powerSkip at its default, which skips nothing.
  */
 ProjectedCloud projectGaussiansReference(const GaussianCloud &cloud,
-                                         const Camera &camera,
-                                         const RenderSettings &settings);
+                                         const Camera &camera);
 
 /** Serial per-tile push_back binning (the seed's intersectTiles). */
 ReferenceTileLists intersectTilesReference(const ProjectedCloud &projected,

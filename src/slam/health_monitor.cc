@@ -8,6 +8,27 @@
 namespace rtgs::slam
 {
 
+namespace
+{
+
+/** Below this valid-depth fraction the depth image is ignored and the
+ *  frame tracks RGB-only (sensor dropout degradation). */
+constexpr Real kMinValidDepthFraction = Real(0.05);
+
+// Loss spike: trackLoss > max(kLossSpikeFloor, EMA * kLossSpikeFactor),
+// where the EMA tracks clean frames only.
+constexpr Real kLossSpikeFactor = Real(3);
+/** Absolute loss below which a frame is never a spike. */
+constexpr double kLossSpikeFloor = 0.02;
+/** EMA smoothing for the clean-frame loss baseline. */
+constexpr Real kLossEmaAlpha = Real(0.3);
+
+// Pose-jump gates vs the constant-velocity prediction.
+constexpr Real kMaxTranslationJump = Real(0.30); //!< metres
+constexpr Real kMaxRotationJump = Real(0.50);    //!< radians
+
+} // namespace
+
 const char *
 healthStateName(HealthState state)
 {
@@ -61,7 +82,7 @@ HealthMonitor::checkInput(const data::Frame &frame)
 
     // Timestamp sanity: strictly monotonic over ACCEPTED frames, so a
     // duplicated or regressed delivery never feeds the motion model.
-    if (config_.requireMonotonicTimestamps && haveTimestamp_ &&
+    if (haveTimestamp_ &&
         (!std::isfinite(frame.timestamp) ||
          frame.timestamp <= lastTimestamp_)) {
         check.badTimestamp = true;
@@ -73,7 +94,7 @@ HealthMonitor::checkInput(const data::Frame &frame)
     if (frame.depth.pixelCount() > 0) {
         Real valid_fraction = static_cast<Real>(valid_depth) /
                               static_cast<Real>(frame.depth.pixelCount());
-        if (valid_fraction < config_.minValidDepthFraction)
+        if (valid_fraction < kMinValidDepthFraction)
             check.depthInvalid = true;
     }
 
@@ -179,7 +200,7 @@ HealthMonitor::stepClean(Assessment &out)
         // only leave on sustained clean re-convergence (the active
         // exit, an accepted relocalization, uses noteRelocalized()
         // instead). The recovery clock to Ok restarts after probation.
-        if (consecutiveClean_ < config_.lostProbationFrames)
+        if (consecutiveClean_ < kLostProbationFrames)
             return;
         state_ = HealthState::Relocalizing;
         consecutiveClean_ = 0;
@@ -206,18 +227,17 @@ HealthMonitor::assess(const AssessInput &in)
 
     bool loss_spike =
         in.haveLoss && haveLossEma_ &&
-        in.trackLoss > std::max(config_.lossSpikeFloor,
-                                lossEma_ *
-                                    static_cast<double>(
-                                        config_.lossSpikeFactor));
+        in.trackLoss >
+            std::max(kLossSpikeFloor,
+                     lossEma_ * static_cast<double>(kLossSpikeFactor));
     Real trans_jump =
         SE3::translationDistance(in.trackedPose, in.predictedPose);
     Real rot_jump =
         SE3::rotationDistance(in.trackedPose, in.predictedPose);
     bool pose_jump = !std::isfinite(trans_jump) ||
                      !std::isfinite(rot_jump) ||
-                     trans_jump > config_.maxTranslationJump ||
-                     rot_jump > config_.maxRotationJump;
+                     trans_jump > kMaxTranslationJump ||
+                     rot_jump > kMaxRotationJump;
 
     out.suspect = loss_spike || pose_jump;
     if (out.suspect && config_.probeConfirm && in.probePsnr) {
@@ -240,7 +260,7 @@ HealthMonitor::assess(const AssessInput &in)
         // Update the loss baseline on clean frames only, so a spike
         // never inflates the baseline it is judged against.
         if (in.haveLoss) {
-            double a = static_cast<double>(config_.lossEmaAlpha);
+            double a = static_cast<double>(kLossEmaAlpha);
             lossEma_ = haveLossEma_
                            ? (1 - a) * lossEma_ + a * in.trackLoss
                            : in.trackLoss;

@@ -25,7 +25,7 @@
  *
  * LOST has two exits: the active one — an accepted map-based
  * relocalization (slam::Relocalizer, reported via noteRelocalized()) —
- * and a passive probation window (lostProbationFrames consecutive
+ * and a passive probation window (kLostProbationFrames consecutive
  * clean frames of re-converged tracking). See docs/ROBUSTNESS.md for
  * the full escalation table.
  *
@@ -58,6 +58,16 @@ enum class HealthState
 /** Human-readable health-state name ("OK" / "RELOCALIZING" / "LOST"). */
 const char *healthStateName(HealthState state);
 
+/**
+ * LOST exit probation: consecutive clean frames required before
+ * passive re-convergence may leave Lost. The recovery clock to Ok
+ * restarts after probation, so the passive exit takes
+ * kLostProbationFrames + recoveryOkFrames clean frames in total. An
+ * accepted relocalization (noteRelocalized()) is the active exit and
+ * skips probation.
+ */
+inline constexpr u32 kLostProbationFrames = 2;
+
 /** Health-monitor configuration. Disabled by default: the fault-free
  *  pipeline stays byte-identical with the monitor off OR on. */
 struct HealthConfig
@@ -68,23 +78,6 @@ struct HealthConfig
     /** Reject the frame when the fraction of non-finite rgb/depth
      *  pixels exceeds this (0 = any NaN rejects). */
     Real maxNanPixelFraction = 0;
-    /** Reject frames whose timestamp does not strictly advance past
-     *  the last accepted frame's (duplicates and regressions). */
-    bool requireMonotonicTimestamps = true;
-    /** Below this valid-depth fraction the depth image is ignored and
-     *  the frame tracks RGB-only (sensor dropout degradation). */
-    Real minValidDepthFraction = Real(0.05);
-
-    // --- divergence detection (post-track)
-    /** Loss spike: trackLoss > max(lossSpikeFloor, EMA * factor). */
-    Real lossSpikeFactor = Real(3);
-    /** Absolute loss below which a frame is never a spike. */
-    double lossSpikeFloor = 0.02;
-    /** EMA smoothing for the clean-frame loss baseline. */
-    Real lossEmaAlpha = Real(0.3);
-    /** Pose-jump gates vs the constant-velocity prediction. */
-    Real maxTranslationJump = Real(0.30); //!< metres
-    Real maxRotationJump = Real(0.50);    //!< radians
 
     // --- probe confirmation (suspect frames only)
     /** Render a downsampled probe of the map at the tracked pose and
@@ -103,15 +96,6 @@ struct HealthConfig
     u32 recoveryOkFrames = 2;
     /** Consecutive suspect frames before declaring Lost. */
     u32 lostPatience = 5;
-    /**
-     * LOST exit probation: consecutive clean frames required before
-     * passive re-convergence may leave Lost (the recovery clock to Ok
-     * restarts after probation, so the passive exit takes
-     * lostProbationFrames + recoveryOkFrames clean frames total). An
-     * accepted relocalization (noteRelocalized()) is the active exit
-     * and skips probation. 0 leaves Lost on the first clean frame.
-     */
-    u32 lostProbationFrames = 2;
 };
 
 /** Pre-track input-validation verdict. */

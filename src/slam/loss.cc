@@ -11,6 +11,12 @@ namespace rtgs::slam
 namespace
 {
 
+/** Huber transition point for depth residuals (metres). */
+constexpr Real kHuberDeltaDepth = Real(0.5);
+/** Only pixels whose rendered opacity exceeds this take part in the
+ *  photometric term; avoids dragging the map toward the background. */
+constexpr Real kAlphaMask = Real(0.05);
+
 /** Huber value and derivative for residual r with transition delta. */
 inline void
 huber(Real r, Real delta, Real &value, Real &deriv)
@@ -47,7 +53,7 @@ computeLoss(const gs::RenderResult &render, const ImageRGB &observed_rgb,
     std::vector<u8> pho_mask(n), geo_mask(n);
     const bool use_depth = config.useDepth && observed_depth;
     for (size_t i = 0; i < n; ++i) {
-        if (render.alpha[i] > config.alphaMask) {
+        if (render.alpha[i] > kAlphaMask) {
             pho_mask[i] = 1;
             ++pho_valid;
         }
@@ -80,7 +86,7 @@ computeLoss(const gs::RenderResult &render, const ImageRGB &observed_rgb,
         if (geo_mask[i]) {
             Real rd = render.depth[i] - (*observed_depth)[i];
             Real v, g;
-            huber(rd, config.huberDeltaDepth, v, g);
+            huber(rd, kHuberDeltaDepth, v, g);
             e_geo += static_cast<double>(v * geo_norm);
             out.dlDDepth[i] = g * (geo_norm * w_geo);
         }

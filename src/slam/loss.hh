@@ -23,15 +23,11 @@ struct LossConfig
     Real lambdaPho = Real(0.9);
     /** Huber transition point for colour residuals ([0,1] scale). */
     Real huberDeltaColor = Real(0.1);
-    /** Huber transition point for depth residuals (metres). */
-    Real huberDeltaDepth = Real(0.5);
-    /** Use the geometric term at all (false for RGB-only tracking). */
+    /** Use the geometric term at all (false for RGB-only tracking).
+     *  No caller sets it, but slambench reads it, and the benchmark's
+     *  files stay as they are.
+     *  det-lint: allow(unset-config-field) */
     bool useDepth = true;
-    /**
-     * Only pixels whose rendered opacity exceeds this take part in the
-     * photometric term; avoids dragging the map toward the background.
-     */
-    Real alphaMask = Real(0.05);
 };
 
 /** Scalar loss plus the per-pixel adjoints the backward pass consumes. */

@@ -39,7 +39,6 @@
 
 #include "common/annotations.hh"
 #include "common/mutex.hh"
-#include "slam/keyframe.hh"
 #include "slam/mapper.hh"
 
 namespace rtgs

@@ -8,8 +8,23 @@
 namespace rtgs::slam
 {
 
+namespace
+{
+
+// Densification: a sampled pixel is uncovered below this rendered
+// alpha, and its depth is wrong past this fraction of the observed
+// depth.
+constexpr Real kDensifyAlphaThreshold = Real(0.5);
+constexpr Real kDensifyDepthError = Real(0.15);
+/** Opacity of a newly inserted Gaussian. */
+constexpr Real kNewGaussianOpacity = Real(0.7);
+/** Opacity below which Gaussians are removed during cleanup. */
+constexpr Real kPruneOpacity = Real(0.02);
+
+} // namespace
+
 Mapper::Mapper(const MapperConfig &config)
-    : config_(config), optimizer_(config.learningRates)
+    : config_(config)
 {
 }
 
@@ -44,12 +59,12 @@ Mapper::densify(const gs::RenderPipeline &pipeline,
             if (gt_d <= 0)
                 continue;
             Real alpha = ctx.result.alpha.at(x, y);
-            bool uncovered = alpha < config_.densifyAlphaThreshold;
+            bool uncovered = alpha < kDensifyAlphaThreshold;
             bool depth_wrong = false;
             if (!uncovered && alpha > Real(0.2)) {
                 Real render_d = ctx.result.depth.at(x, y) / alpha;
                 depth_wrong = std::abs(render_d - gt_d) >
-                              config_.densifyDepthError * gt_d;
+                              kDensifyDepthError * gt_d;
             }
             if (!uncovered && !depth_wrong)
                 continue;
@@ -63,7 +78,7 @@ Mapper::densify(const gs::RenderPipeline &pipeline,
             Real scale = gt_d / intr.fx * static_cast<Real>(stride) *
                          Real(0.7);
             cloud.pushIsotropic(world, std::max(scale, Real(1e-3)),
-                                config_.newGaussianOpacity,
+                                kNewGaussianOpacity,
                                 record.rgb.at(x, y));
             ++added;
             if (cloud.size() >= config_.maxGaussians)
@@ -202,7 +217,7 @@ Mapper::pruneTransparent(gs::GaussianCloud &cloud)
     std::vector<u8> keep(cloud.size(), 1);
     size_t cut = 0;
     for (size_t k = 0; k < cloud.size(); ++k) {
-        if (cloud.opacity(k) < config_.pruneOpacity) {
+        if (cloud.opacity(k) < kPruneOpacity) {
             keep[k] = 0;
             ++cut;
         }

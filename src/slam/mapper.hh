@@ -47,20 +47,17 @@ struct MapperConfig
      * bench_fig15 multi-view ablation.
      */
     u32 multiViewWindow = 0;
-    MapLearningRates learningRates;
     LossConfig loss;
 
-    // Densification: pixels sampled on a stride; a Gaussian is inserted
-    // where the map has no coverage or a large depth error.
+    /** Densification samples pixels on this stride; a Gaussian is
+     *  inserted where the map has no coverage or a large depth error
+     *  (thresholds in mapper.cc). */
     u32 densifyStride = 4;
-    Real densifyAlphaThreshold = Real(0.5);
-    Real densifyDepthError = Real(0.15);
-    Real newGaussianOpacity = Real(0.7);
-    /** Upper bound on map size (resource cap). */
+    /** Upper bound on map size (resource cap). No caller sets it yet;
+     *  it stays a field because the per-session Gaussian budget
+     *  (ROADMAP item 9) will.
+     *  det-lint: allow(unset-config-field) */
     size_t maxGaussians = 2'000'000;
-
-    /** Opacity below which Gaussians are removed during cleanup. */
-    Real pruneOpacity = Real(0.02);
 };
 
 /** Per-map-iteration observer (mirrors the tracker's hook). */

@@ -11,25 +11,30 @@ namespace rtgs::slam
 namespace
 {
 
+// Adam hyperparameters, shared by both optimisers.
+constexpr Real kBeta1 = Real(0.9);
+constexpr Real kBeta2 = Real(0.999);
+constexpr Real kEpsilon = Real(1e-8);
+
+// Per-parameter-group learning rates for map optimisation.
+constexpr Real kLrPosition = Real(1e-3);
+constexpr Real kLrLogScale = Real(3e-3);
+constexpr Real kLrRotation = Real(1e-3);
+constexpr Real kLrOpacity = Real(2e-2);
+constexpr Real kLrSh = Real(5e-3);
+
 /** One Adam update for a scalar lane. */
 inline Real
-adamLane(Real grad, Real &m, Real &v, Real lr, const AdamConfig &cfg,
-         Real bias1, Real bias2)
+adamLane(Real grad, Real &m, Real &v, Real lr, Real bias1, Real bias2)
 {
-    m = cfg.beta1 * m + (1 - cfg.beta1) * grad;
-    v = cfg.beta2 * v + (1 - cfg.beta2) * grad * grad;
+    m = kBeta1 * m + (1 - kBeta1) * grad;
+    v = kBeta2 * v + (1 - kBeta2) * grad * grad;
     Real mhat = m / bias1;
     Real vhat = v / bias2;
-    return -lr * mhat / (std::sqrt(vhat) + cfg.epsilon);
+    return -lr * mhat / (std::sqrt(vhat) + kEpsilon);
 }
 
 } // namespace
-
-MapOptimizer::MapOptimizer(const MapLearningRates &lrs,
-                           const AdamConfig &adam)
-    : lrs_(lrs), adam_(adam)
-{
-}
 
 void
 MapOptimizer::ensureSize(size_t n)
@@ -76,10 +81,8 @@ MapOptimizer::step(gs::GaussianCloud &cloud, const gs::CloudGrads &grads)
     rtgs_assert(grads.size() == cloud.size());
     ensureSize(cloud.size());
     ++stepCount_;
-    Real bias1 = 1 - std::pow(adam_.beta1,
-                              static_cast<Real>(stepCount_));
-    Real bias2 = 1 - std::pow(adam_.beta2,
-                              static_cast<Real>(stepCount_));
+    Real bias1 = 1 - std::pow(kBeta1, static_cast<Real>(stepCount_));
+    Real bias2 = 1 - std::pow(kBeta2, static_cast<Real>(stepCount_));
 
     // One re-materialisation per mutated COW column up front (a no-op
     // while the cloud is unshared), not one aliasing check per lane.
@@ -96,29 +99,29 @@ MapOptimizer::step(gs::GaussianCloud &cloud, const gs::CloudGrads &grads)
         for (int c = 0; c < 3; ++c) {
             positions[k][c] +=
                 adamLane(grads.dPositions[k][c], mPos_[k][c], vPos_[k][c],
-                         lrs_.position, adam_, bias1, bias2);
+                         kLrPosition, bias1, bias2);
             log_scales[k][c] +=
                 adamLane(grads.dLogScales[k][c], mScale_[k][c],
-                         vScale_[k][c], lrs_.logScale, adam_, bias1, bias2);
+                         vScale_[k][c], kLrLogScale, bias1, bias2);
             sh_coeffs[k][c] +=
                 adamLane(grads.dShCoeffs[k][c], mSh_[k][c], vSh_[k][c],
-                         lrs_.sh, adam_, bias1, bias2);
+                         kLrSh, bias1, bias2);
         }
         rotations[k].w +=
             adamLane(grads.dRotations[k].w, mRot_[k].w, vRot_[k].w,
-                     lrs_.rotation, adam_, bias1, bias2);
+                     kLrRotation, bias1, bias2);
         rotations[k].x +=
             adamLane(grads.dRotations[k].x, mRot_[k].x, vRot_[k].x,
-                     lrs_.rotation, adam_, bias1, bias2);
+                     kLrRotation, bias1, bias2);
         rotations[k].y +=
             adamLane(grads.dRotations[k].y, mRot_[k].y, vRot_[k].y,
-                     lrs_.rotation, adam_, bias1, bias2);
+                     kLrRotation, bias1, bias2);
         rotations[k].z +=
             adamLane(grads.dRotations[k].z, mRot_[k].z, vRot_[k].z,
-                     lrs_.rotation, adam_, bias1, bias2);
+                     kLrRotation, bias1, bias2);
         opacity_logits[k] +=
             adamLane(grads.dOpacityLogits[k], mOpa_[k], vOpa_[k],
-                     lrs_.opacity, adam_, bias1, bias2);
+                     kLrOpacity, bias1, bias2);
         // Clamp the raw parameters to sane numeric ranges.
         opacity_logits[k] =
             std::clamp(opacity_logits[k], Real(-9), Real(9));
@@ -129,9 +132,8 @@ MapOptimizer::step(gs::GaussianCloud &cloud, const gs::CloudGrads &grads)
     }
 }
 
-PoseOptimizer::PoseOptimizer(Real lr_trans, Real lr_rot,
-                             const AdamConfig &adam)
-    : lrTrans_(lr_trans), lrRot_(lr_rot), adam_(adam)
+PoseOptimizer::PoseOptimizer(Real lr_trans, Real lr_rot)
+    : lrTrans_(lr_trans), lrRot_(lr_rot)
 {
 }
 
@@ -146,8 +148,8 @@ Twist
 PoseOptimizer::step(SE3 &pose, const Twist &grad)
 {
     ++stepCount_;
-    Real bias1 = 1 - std::pow(adam_.beta1, static_cast<Real>(stepCount_));
-    Real bias2 = 1 - std::pow(adam_.beta2, static_cast<Real>(stepCount_));
+    Real bias1 = 1 - std::pow(kBeta1, static_cast<Real>(stepCount_));
+    Real bias2 = 1 - std::pow(kBeta2, static_cast<Real>(stepCount_));
 
     Twist update{};
     for (int c = 0; c < 6; ++c) {
@@ -155,7 +157,7 @@ PoseOptimizer::step(SE3 &pose, const Twist &grad)
         Real g = grad[c];
         Real &m = c < 3 ? m_.rho[c] : m_.phi[c - 3];
         Real &v = c < 3 ? v_.rho[c] : v_.phi[c - 3];
-        update[c] = adamLane(g, m, v, lr, adam_, bias1, bias2);
+        update[c] = adamLane(g, m, v, lr, bias1, bias2);
     }
     pose = pose.retract(update);
     return update;

@@ -16,35 +16,15 @@
 namespace rtgs::slam
 {
 
-/** Shared Adam hyperparameters. */
-struct AdamConfig
-{
-    Real beta1 = Real(0.9);
-    Real beta2 = Real(0.999);
-    Real epsilon = Real(1e-8);
-};
-
-/** Per-parameter-group learning rates for map optimisation. */
-struct MapLearningRates
-{
-    Real position = Real(1e-3);
-    Real logScale = Real(3e-3);
-    Real rotation = Real(1e-3);
-    Real opacity = Real(2e-2);
-    Real sh = Real(5e-3);
-};
-
 /**
- * Adam over every raw parameter of a GaussianCloud. Moment buffers
+ * Adam over every raw parameter of a GaussianCloud, with one fixed
+ * learning rate per parameter group (optimizer.cc). Moment buffers
  * follow the cloud's size; growing the cloud (densification) extends
  * them with zeros, and compact() must be mirrored with remap().
  */
 class MapOptimizer
 {
   public:
-    explicit MapOptimizer(const MapLearningRates &lrs = {},
-                          const AdamConfig &adam = {});
-
     /** Apply one Adam step from the given gradients. */
     void step(gs::GaussianCloud &cloud, const gs::CloudGrads &grads);
 
@@ -57,8 +37,6 @@ class MapOptimizer
     size_t stepCount() const { return stepCount_; }
 
   private:
-    MapLearningRates lrs_;
-    AdamConfig adam_;
     size_t stepCount_ = 0;
 
     // First/second moments, flattened per group.
@@ -80,8 +58,7 @@ class PoseOptimizer
      * @param lr_trans learning rate for the translational tangent
      * @param lr_rot   learning rate for the rotational tangent
      */
-    PoseOptimizer(Real lr_trans = Real(3e-3), Real lr_rot = Real(3e-3),
-                  const AdamConfig &adam = {});
+    PoseOptimizer(Real lr_trans = Real(3e-3), Real lr_rot = Real(3e-3));
 
     /** One Adam step; returns the applied twist (for diagnostics). */
     Twist step(SE3 &pose, const Twist &grad);
@@ -92,7 +69,6 @@ class PoseOptimizer
   private:
     Real lrTrans_;
     Real lrRot_;
-    AdamConfig adam_;
     size_t stepCount_ = 0;
     Twist m_{};
     Twist v_{};

@@ -12,6 +12,17 @@ namespace rtgs::slam
 namespace
 {
 
+// GS-SLAM's pose-distance keyframe thresholds (metres, radians).
+constexpr Real kKfTranslationThreshold = Real(0.15);
+constexpr Real kKfRotationThreshold = Real(0.20);
+/** Photo-SLAM's photometric keyframe threshold (image RMSE). */
+constexpr Real kKfPhotometricRmse = Real(0.08);
+
+// Photo-SLAM's projective ICP: dense point sampling and extra
+// iterations buy noise robustness.
+constexpr u32 kIcpIterations = 8;
+constexpr u32 kIcpStride = 2; //!< pixel stride of the sampled points
+
 /** Solve the 6x6 system H x = b with partial-pivot Gaussian elimination. */
 bool
 solve6(double h[6][6], double b[6], double x[6])
@@ -58,6 +69,32 @@ algorithmName(BaseAlgorithm algo)
     return "unknown";
 }
 
+bool
+isKeyframe(BaseAlgorithm algo, u32 kf_interval, const KeyframeQuery &query)
+{
+    if (query.frameIndex == 0)
+        return true;
+    switch (algo) {
+      case BaseAlgorithm::GsSlam:
+        return SE3::translationDistance(query.currentPose,
+                                        query.lastKeyframePose) >
+                   kKfTranslationThreshold ||
+               SE3::rotationDistance(query.currentPose,
+                                     query.lastKeyframePose) >
+                   kKfRotationThreshold;
+      case BaseAlgorithm::MonoGs:
+        rtgs_assert(kf_interval > 0);
+        return query.frameIndex % kf_interval == 0;
+      case BaseAlgorithm::PhotoSlam:
+        return !query.currentImage || !query.lastKeyframeImage ||
+               imageRmse(*query.currentImage, *query.lastKeyframeImage) >
+                   kKfPhotometricRmse;
+      case BaseAlgorithm::SplaTam:
+        return true;
+    }
+    return true;
+}
+
 SlamConfig
 SlamConfig::forAlgorithm(BaseAlgorithm algo)
 {
@@ -76,12 +113,9 @@ SlamConfig::forAlgorithm(BaseAlgorithm algo)
         break;
       case BaseAlgorithm::PhotoSlam:
         // Classical geometric tracking; hybrid design keeps the map
-        // lean (Sec. 2.3: acceptable storage). Dense ICP sampling and
-        // extra iterations buy noise robustness.
+        // lean (Sec. 2.3: acceptable storage).
         cfg.mapper.densifyStride = 6;
         cfg.mapper.iterations = 12;
-        cfg.icpStride = 2;
-        cfg.icpIterations = 8;
         break;
       case BaseAlgorithm::SplaTam:
         // Per-frame mapping, no keyframe selection; fewer iterations
@@ -103,24 +137,6 @@ SlamSystem::SlamSystem(const SlamConfig &config,
     gs::RenderSettings settings;
     settings.background = {0.03f, 0.03f, 0.05f};
     pipeline_ = gs::RenderPipeline(settings);
-
-    switch (config.algorithm) {
-      case BaseAlgorithm::GsSlam:
-        keyframePolicy_ = std::make_unique<PoseDistanceKeyframePolicy>(
-            config.kfTranslationThreshold, config.kfRotationThreshold);
-        break;
-      case BaseAlgorithm::MonoGs:
-        keyframePolicy_ =
-            std::make_unique<IntervalKeyframePolicy>(config.kfInterval);
-        break;
-      case BaseAlgorithm::PhotoSlam:
-        keyframePolicy_ = std::make_unique<PhotometricKeyframePolicy>(
-            config.kfPhotometricRmse);
-        break;
-      case BaseAlgorithm::SplaTam:
-        keyframePolicy_ = std::make_unique<EveryFrameKeyframePolicy>();
-        break;
-    }
 
     if (config.mapQueueDepth > 0) {
         // Evicted jobs never run; mark their report rows so drops are
@@ -310,7 +326,7 @@ SlamSystem::geometricTrack(const data::Frame &frame,
 
     SE3 cam_to_world = init.inverse();
     SE3 prev_cam_to_world = prevPose_.inverse();
-    u32 stride = std::max<u32>(1, config_.icpStride);
+    const u32 stride = kIcpStride;
 
     // Sensor depth noise would make finite-difference normals useless;
     // smooth the reference depth with a small box filter over valid
@@ -352,7 +368,7 @@ SlamSystem::geometricTrack(const data::Frame &frame,
                                      d);
     };
 
-    for (u32 iter = 0; iter < config_.icpIterations; ++iter) {
+    for (u32 iter = 0; iter < kIcpIterations; ++iter) {
         double h[6][6] = {};
         double b[6] = {};
         size_t pairs = 0;
@@ -450,10 +466,17 @@ SlamSystem::geometricTrack(const data::Frame &frame,
     return cam_to_world.inverse();
 }
 
-bool
-SlamSystem::decideKeyframe(const KeyframeQuery &query)
+KeyframeQuery
+SlamSystem::keyframeQuery(const data::Frame &frame, const SE3 &pose) const
 {
-    return query.frameIndex == 0 || keyframePolicy_->isKeyframe(query);
+    KeyframeQuery query;
+    query.frameIndex = frame.index;
+    query.currentPose = pose;
+    query.lastKeyframePose = lastKeyframePose_;
+    query.currentImage = &frame.rgb;
+    query.lastKeyframeImage =
+        lastKeyframeImage_.empty() ? nullptr : &lastKeyframeImage_;
+    return query;
 }
 
 bool
@@ -461,18 +484,8 @@ SlamSystem::predictKeyframe(const data::Frame &frame) const
 {
     if (!bootstrapped_)
         return true;
-    KeyframeQuery query;
-    query.frameIndex = frame.index;
-    query.lastKeyframeIndex = lastKeyframeIndex_;
-    query.currentPose = constantVelocityGuess();
-    query.lastKeyframePose = lastKeyframePose_;
-    query.currentImage = &frame.rgb;
-    query.lastKeyframeImage =
-        lastKeyframeImage_.empty() ? nullptr : &lastKeyframeImage_;
-    // The policy objects are stateless; const_cast avoids duplicating
-    // the decision path for the prediction-only call.
-    auto *policy = const_cast<KeyframePolicy *>(keyframePolicy_.get());
-    return policy->isKeyframe(query);
+    return isKeyframe(config_.algorithm, config_.kfInterval,
+                      keyframeQuery(frame, constantVelocityGuess()));
 }
 
 SE3
@@ -538,15 +551,8 @@ SlamSystem::stageKeyframeDecision(const data::Frame &frame,
         return frame.index == 0 || *force_keyframe;
 
     // Keyframe decision uses the tracked pose and current image.
-    KeyframeQuery query;
-    query.frameIndex = frame.index;
-    query.lastKeyframeIndex = lastKeyframeIndex_;
-    query.currentPose = pose;
-    query.lastKeyframePose = lastKeyframePose_;
-    query.currentImage = &frame.rgb;
-    query.lastKeyframeImage =
-        lastKeyframeImage_.empty() ? nullptr : &lastKeyframeImage_;
-    return decideKeyframe(query);
+    return isKeyframe(config_.algorithm, config_.kfInterval,
+                      keyframeQuery(frame, pose));
 }
 
 void
@@ -556,7 +562,6 @@ SlamSystem::stageEnqueueMap(const data::Frame &frame, const SE3 &pose,
 {
     // Caller-side keyframe state is recorded at enqueue time, so the
     // keyframe policy sees the same history in both modes.
-    lastKeyframeIndex_ = frame.index;
     lastKeyframeImage_ = frame.rgb;
     lastKeyframePose_ = pose;
 
@@ -795,17 +800,25 @@ SlamSystem::probePsnr(const data::Frame &frame, const SE3 &pose)
     }
     if (cloud->empty())
         return -1;
+    return probeScorer(frame, config_.health.probeWidth, *cloud)(pose);
+}
 
+Relocalizer::ScoreFn
+SlamSystem::probeScorer(const data::Frame &frame, u32 probe_width,
+                        const gs::GaussianCloud &cloud) const
+{
     Real scale = std::min(
         Real(1),
-        static_cast<Real>(config_.health.probeWidth) /
+        static_cast<Real>(probe_width) /
             static_cast<Real>(std::max<u32>(1, frame.rgb.width())));
-    PreprocessedObservation obs =
-        preprocessObservation(frame, intrinsics_, scale);
-    Camera cam(obs.intr, pose);
-    gs::ForwardContext ctx = pipeline_.forward(*cloud, cam);
-    double db = psnr(ctx.result.image, obs.rgb());
-    return std::isfinite(db) ? db : 99.0; // identical probes: cap
+    return [this, &cloud,
+            obs = preprocessObservation(frame, intrinsics_, scale)](
+               const SE3 &pose) {
+        Camera cam(obs.intr, pose);
+        gs::ForwardContext ctx = pipeline_.forward(cloud, cam);
+        double db = psnr(ctx.result.image, obs.rgb());
+        return std::isfinite(db) ? db : 99.0; // identical probes: cap
+    };
 }
 
 bool
@@ -824,18 +837,8 @@ SlamSystem::stageRelocalize(const data::Frame &frame,
         return false; // nothing to search against yet; retry next frame
 
     // One downsampled observation shared by every candidate render.
-    Real scale = std::min(
-        Real(1),
-        static_cast<Real>(config_.reloc.probeWidth) /
-            static_cast<Real>(std::max<u32>(1, frame.rgb.width())));
-    PreprocessedObservation obs =
-        preprocessObservation(frame, intrinsics_, scale);
-    auto score = [&](const SE3 &p) {
-        Camera cam(obs.intr, p);
-        gs::ForwardContext ctx = pipeline_.forward(cloud, cam);
-        double db = psnr(ctx.result.image, obs.rgb());
-        return std::isfinite(db) ? db : 99.0; // identical probes: cap
-    };
+    Relocalizer::ScoreFn score =
+        probeScorer(frame, config_.reloc.probeWidth, cloud);
 
     report.relocAttempts = 1;
     RelocSearchResult found =
@@ -853,8 +856,7 @@ SlamSystem::stageRelocalize(const data::Frame &frame,
         config_.tracker.iterations + 1,
         static_cast<u32>(
             std::ceil(static_cast<Real>(config_.tracker.iterations) *
-                      std::max(Real(1),
-                               config_.reloc.refineBoostFactor))));
+                      kRefineBoostFactor)));
     burst.allowExceed = true;
     report.budgetBoosted = true;
     report.trackIterationBudget = burst.trackIterations;
@@ -864,12 +866,9 @@ SlamSystem::stageRelocalize(const data::Frame &frame,
     // step, so the burst runs a dedicated tracker scaled for the
     // multi-keyframe distance a candidate starts from.
     TrackerConfig refine_cfg = config_.tracker;
-    refine_cfg.lrTranslation *=
-        std::max(Real(1), config_.reloc.refineLrScale);
-    refine_cfg.lrRotation *=
-        std::max(Real(1), config_.reloc.refineLrScale);
-    refine_cfg.lrDecay =
-        std::clamp(config_.reloc.refineLrDecay, Real(0.5), Real(1));
+    refine_cfg.lrTranslation *= kRefineLrScale;
+    refine_cfg.lrRotation *= kRefineLrScale;
+    refine_cfg.lrDecay = kRefineLrDecay;
     refine_cfg.earlyStop = false;
     Tracker refiner(refine_cfg);
     SE3 refined = stageTrack(frame, tracking_scale, &burst, report,

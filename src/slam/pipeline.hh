@@ -27,7 +27,6 @@
 
 #include "data/dataset.hh"
 #include "slam/health_monitor.hh"
-#include "slam/keyframe.hh"
 #include "slam/relocalizer.hh"
 #include "slam/map_worker.hh"
 #include "slam/mapper.hh"
@@ -44,6 +43,25 @@ enum class BaseAlgorithm { GsSlam, MonoGs, PhotoSlam, SplaTam };
 /** Human-readable algorithm name. */
 const char *algorithmName(BaseAlgorithm algo);
 
+/** Inputs a keyframe decision may consult. */
+struct KeyframeQuery
+{
+    u32 frameIndex = 0;
+    SE3 currentPose;       //!< tracked pose of the current frame
+    SE3 lastKeyframePose;  //!< tracked pose of the last keyframe
+    const ImageRGB *currentImage = nullptr;
+    const ImageRGB *lastKeyframeImage = nullptr;
+};
+
+/**
+ * Each profile's native keyframe policy (Sec. 6.1): GS-SLAM selects on
+ * pose distance to the last keyframe, MonoGS every `kf_interval`-th
+ * frame, Photo-SLAM on photometric change (image RMSE) and SplaTAM
+ * every frame. Frame 0 is always a keyframe.
+ */
+bool isKeyframe(BaseAlgorithm algo, u32 kf_interval,
+                const KeyframeQuery &query);
+
 /** Full system configuration. */
 struct SlamConfig
 {
@@ -51,16 +69,8 @@ struct SlamConfig
     TrackerConfig tracker;
     MapperConfig mapper;
 
-    // Keyframe policy parameters (profile-dependent).
+    /** Keyframe interval of the MonoGS policy (see isKeyframe()). */
     u32 kfInterval = 8;
-    Real kfTranslationThreshold = Real(0.15);
-    Real kfRotationThreshold = Real(0.20);
-    Real kfPhotometricRmse = Real(0.08);
-
-    /** Projective-ICP iterations for the Photo-SLAM tracking backend. */
-    u32 icpIterations = 6;
-    /** Pixel stride for ICP point sampling. */
-    u32 icpStride = 4;
 
     /**
      * Asynchronous-mapping queue depth. 0 (the default) runs mapping
@@ -374,7 +384,7 @@ class SlamSystem
 
     /**
      * Hand the frame loop off to a different thread. The frame-loop
-     * state (trajectory, keyframe policy, tracking clone) carries no
+     * state (trajectory, last keyframe, tracking clone) carries no
      * lock, and the health monitor / relocalizer are pinned to one
      * thread by a ThreadAffinity capability — a fleet scheduler that
      * migrates a session's turns across workers calls this at the
@@ -437,11 +447,13 @@ class SlamSystem
      */
     ImageRGB renderView(const SE3 &pose) const;
 
-    /** Decide keyframe status for a tracked frame (exposed for tests). */
-    bool decideKeyframe(const KeyframeQuery &query);
-
   private:
     SE3 constantVelocityGuess() const;
+
+    /** The keyframe query for `frame` at `pose`, against the last
+     *  keyframe. */
+    KeyframeQuery keyframeQuery(const data::Frame &frame,
+                                const SE3 &pose) const;
 
     /** Photo-SLAM-style classical tracking: projective point ICP. */
     SE3 geometricTrack(const data::Frame &frame, const SE3 &init) const;
@@ -475,6 +487,14 @@ class SlamSystem
      *  map is available. Never takes stateMutex_ (async-safe): the
      *  sync-mode cloud read goes through syncCloud(). */
     double probePsnr(const data::Frame &frame, const SE3 &pose);
+
+    /** Probe scorer: `frame` downsampled to `probe_width` once, then
+     *  each call renders `cloud` at a pose and returns the PSNR (dB)
+     *  against that observation, capped at 99 dB for identical
+     *  probes. `frame` and `cloud` must outlive the scorer. */
+    Relocalizer::ScoreFn probeScorer(const data::Frame &frame,
+                                     u32 probe_width,
+                                     const gs::GaussianCloud &cloud) const;
 
     /** Published-map footprint fields for a non-mapping frame row. */
     void fillMapFootprint(FrameReport &report);
@@ -550,7 +570,6 @@ class SlamSystem
     /** A plain value; every render buffer belongs to its thread. */
     gs::RenderPipeline pipeline_;
     Tracker tracker_;
-    std::unique_ptr<KeyframePolicy> keyframePolicy_;
     /** Set before the first frame; read by the frame loop (track) and
      *  by map workers under stateMutex_ (map). */
     TrackIterationHook trackHook_;
@@ -559,7 +578,6 @@ class SlamSystem
     // --- Frame-loop-confined: only processFrame() and its stages (all
     // on the caller thread) touch these; no lock needed.
     std::vector<SE3> trajectory_;
-    u32 lastKeyframeIndex_ = 0;
     ImageRGB lastKeyframeImage_;
     SE3 lastKeyframePose_;
     // Previous frame data for the geometric (ICP) tracking backend.

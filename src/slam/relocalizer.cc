@@ -14,6 +14,12 @@ namespace rtgs::slam
 namespace
 {
 
+// SE(3) perturbations around each base candidate.
+constexpr Real kPerturbTranslationSigma = Real(0.08); //!< metres
+constexpr Real kPerturbRotationSigma = Real(0.06);    //!< radians
+/** Base seed for the per-frame perturbation draws. */
+constexpr u64 kPerturbSeed = 0x5EEDF00Dull;
+
 /** Mean-squared RGB distance between two equally-sized probes;
  *  +inf on a size mismatch or non-finite pixels (never a best match). */
 double
@@ -51,13 +57,7 @@ Relocalizer::makeProbe(const ImageRGB &rgb) const
 {
     if (rgb.width() == 0 || rgb.height() == 0)
         return {};
-    // Same probe construction as the SimilarityGate: aspect-correct,
-    // never upsampled, floored so thumbnails stay comparable.
-    u32 pw = std::max<u32>(8, std::min(config_.probeWidth, rgb.width()));
-    u32 ph = std::max<u32>(
-        8, static_cast<u32>(static_cast<u64>(pw) * rgb.height() /
-                            rgb.width()));
-    return resizeBox(rgb, pw, ph);
+    return resizeThumbnail(rgb, config_.probeWidth);
 }
 
 void
@@ -129,12 +129,12 @@ Relocalizer::generateCandidates(u32 frame_index,
     out.reserve(bases * (1 + config_.perturbationsPerAnchor));
     for (size_t bi = 0; bi < bases; ++bi) {
         RelocCandidate base = out[bi];
-        Rng rng(config_.seed ^
+        Rng rng(kPerturbSeed ^
                 (static_cast<u64>(frame_index) * 0x9E3779B97F4A7C15ull) ^
                 ((static_cast<u64>(bi) + 1) * 0xBF58476D1CE4E5B9ull));
         for (u32 p = 0; p < config_.perturbationsPerAnchor; ++p) {
-            double ts = static_cast<double>(config_.perturbTranslationSigma);
-            double rs = static_cast<double>(config_.perturbRotationSigma);
+            double ts = static_cast<double>(kPerturbTranslationSigma);
+            double rs = static_cast<double>(kPerturbRotationSigma);
             Twist xi{{static_cast<Real>(rng.normal(0, ts)),
                       static_cast<Real>(rng.normal(0, ts)),
                       static_cast<Real>(rng.normal(0, ts))},

@@ -31,7 +31,7 @@
  *     retries on an exponential-backoff schedule.
  *
  * Determinism contract: candidate generation draws from an Rng seeded
- * by (config seed, frame index, candidate base index) only — salted
+ * by (a fixed seed, frame index, candidate base index) only — salted
  * per-frame seeding, so the search is bitwise reproducible and
  * independent of how many LOST episodes preceded it. Scoring renders
  * go through the render pipeline, whose outputs are bitwise
@@ -60,6 +60,22 @@
 namespace rtgs::slam
 {
 
+/**
+ * The refinement burst that follows a candidate search runs
+ * kRefineBoostFactor times the configured tracking iterations (allowed
+ * to exceed them) on a dedicated cold-start tracker. The incremental
+ * tracker's aggressive per-iteration learning-rate decay bounds its
+ * total correction to a few times the base learning rate: right for
+ * warm starts one frame apart, far too timid for a relocalization
+ * candidate several keyframes away. The burst's tracker therefore
+ * scales the learning rates by kRefineLrScale, decays them by
+ * kRefineLrDecay per iteration, and never stops early (the loss can
+ * plateau before the candidate reaches the basin).
+ */
+inline constexpr Real kRefineBoostFactor = Real(4);
+inline constexpr Real kRefineLrScale = Real(4);
+inline constexpr Real kRefineLrDecay = Real(0.98);
+
 /** Relocalizer configuration. Disabled by default; enabling it never
  *  changes the output of a run that never goes LOST. */
 struct RelocalizerConfig
@@ -83,38 +99,16 @@ struct RelocalizerConfig
     /** Seeded SE(3) perturbations generated around every base
      *  candidate (anchors and extrapolations). */
     u32 perturbationsPerAnchor = 2;
-    Real perturbTranslationSigma = Real(0.08); //!< metres
-    Real perturbRotationSigma = Real(0.06);    //!< radians
 
     /** Accept the refined pose only when its probe-render PSNR (dB)
      *  clears this; below it the system stays LOST. */
     Real acceptPsnrMinDb = Real(12);
-
-    /** Tracking-iteration multiplier for the refinement burst (applied
-     *  to the configured count, allowed to exceed it). */
-    Real refineBoostFactor = Real(4);
-
-    /**
-     * Cold-start optimizer settings for the refinement burst. The
-     * incremental tracker's aggressive per-iteration learning-rate
-     * decay bounds its total correction to a few times the base
-     * learning rate — right for warm starts one frame apart, far too
-     * timid for a relocalization candidate several keyframes away. The
-     * burst therefore runs a dedicated tracker with scaled learning
-     * rates and gentler decay (and no early stop: the loss can plateau
-     * before the candidate reaches the basin).
-     */
-    Real refineLrScale = Real(4);
-    Real refineLrDecay = Real(0.98);
 
     /** Frames to wait after the first failed attempt; doubles per
      *  consecutive failure up to backoffMaxFrames. 0 retries on the
      *  very next frame once. */
     u32 backoffStartFrames = 0;
     u32 backoffMaxFrames = 8;
-
-    /** Base seed for the per-frame perturbation draws. */
-    u64 seed = 0x5EEDF00Dull;
 };
 
 /** One keyframe database entry. */

@@ -3,6 +3,17 @@
 namespace rtgs::slam
 {
 
+namespace
+{
+
+// Early stop: after kPlateauPatience consecutive iterations without a
+// relative loss improvement of at least kMinRelImprovement over the
+// best seen.
+constexpr u32 kPlateauPatience = 3;
+constexpr Real kMinRelImprovement = Real(1e-3);
+
+} // namespace
+
 Tracker::Tracker(const TrackerConfig &config)
     : config_(config)
 {
@@ -66,8 +77,7 @@ Tracker::track(const gs::RenderPipeline &pipeline,
         }
 
         bool improved = loss.loss <
-            best_loss * (1.0 - static_cast<double>(
-                config_.minRelImprovement));
+            best_loss * (1.0 - static_cast<double>(kMinRelImprovement));
         if (loss.loss < best_loss) {
             best_loss = loss.loss;
             best_pose = pose; // the pose this loss was evaluated at
@@ -75,7 +85,7 @@ Tracker::track(const gs::RenderPipeline &pipeline,
         if (improved) {
             stale = 0;
         } else if (config_.earlyStop &&
-                   ++stale >= config_.plateauPatience) {
+                   ++stale >= kPlateauPatience) {
             break;
         }
 

@@ -29,15 +29,12 @@ struct TrackerConfig
     /** Per-iteration multiplicative learning-rate decay. */
     Real lrDecay = Real(0.9);
     /**
-     * Convergence detection: stop after `plateauPatience` consecutive
-     * iterations without a relative loss improvement of at least
-     * `minRelImprovement` over the best seen. Adam steps have
-     * near-constant magnitude, so iterating past convergence makes the
-     * pose wander around the loss floor instead of refining it.
+     * Convergence detection: stop once the loss plateaus (see
+     * tracker.cc). Adam steps have near-constant magnitude, so
+     * iterating past convergence makes the pose wander around the loss
+     * floor instead of refining it.
      */
     bool earlyStop = true;
-    u32 plateauPatience = 3;
-    Real minRelImprovement = Real(1e-3);
     LossConfig loss;
 };
 

@@ -63,6 +63,30 @@ fnv1a(const void *bytes, size_t n, u64 hash)
     return hash;
 }
 
+/** One run's output FNV: every pose, then every cloud column (the
+ *  recipe of slambench's outputHash). */
+inline u64
+outputFnv(const std::vector<SE3> &trajectory, const gs::GaussianCloud &cloud)
+{
+    u64 hash = 1469598103934665603ull;
+    for (const SE3 &pose : trajectory) {
+        hash = fnv1a(&pose.rot, sizeof(pose.rot), hash);
+        hash = fnv1a(&pose.trans, sizeof(pose.trans), hash);
+    }
+    auto mix = [&hash](const auto &column) {
+        using T = typename std::decay_t<decltype(column)>::value_type;
+        if (column.size())
+            hash = fnv1a(column.data(), column.size() * sizeof(T), hash);
+    };
+    mix(cloud.positions);
+    mix(cloud.logScales);
+    mix(cloud.rotations);
+    mix(cloud.opacityLogits);
+    mix(cloud.shCoeffs);
+    mix(cloud.active);
+    return hash;
+}
+
 } // namespace rtgs
 
 #endif // RTGS_TESTS_BYTE_IDENTITY_HH

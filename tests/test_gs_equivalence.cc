@@ -136,7 +136,7 @@ TEST_P(PipelineEquivalence, ProjectionMatchesSerialReference)
     ProjectedCloud par =
         projectGaussians(scene.cloud, scene.camera, settings);
     ProjectedCloud ser =
-        projectGaussiansReference(scene.cloud, scene.camera, settings);
+        projectGaussiansReference(scene.cloud, scene.camera);
 
     ASSERT_EQ(par.size(), ser.size());
     for (size_t k = 0; k < par.size(); ++k) {
@@ -292,7 +292,7 @@ TEST_P(PipelineEquivalence, BackwardClampedAlphaMatchesSerialFull)
     for (size_t k = 0; k < ctx.projected.size(); ++k)
         if (ctx.projected[k].valid)
             max_opacity = std::max(max_opacity, ctx.projected[k].opacity);
-    ASSERT_GT(max_opacity, settings.alphaMax);
+    ASSERT_GT(max_opacity, kAlphaMax);
 
     ImageRGB adj(ctx.grid.width, ctx.grid.height, {0.3f, 0.2f, -0.15f});
     ImageF adj_depth(ctx.grid.width, ctx.grid.height, Real(0.03));

@@ -115,8 +115,8 @@ TEST(Projection, IsotropicCovarianceScalesWithFocal)
     // The pre-blur EWA covariance: the inverse of the conic, minus the
     // blur projection adds to the diagonal.
     Sym2f cov2d = proj[0].conic.inverse();
-    cov2d.xx -= settings.covBlur;
-    cov2d.yy -= settings.covBlur;
+    cov2d.xx -= kCovBlur;
+    cov2d.yy -= kCovBlur;
     Real expected = cam.intr.fx * s;
     EXPECT_NEAR(std::sqrt(cov2d.xx), expected, expected * 0.05);
     EXPECT_NEAR(std::sqrt(cov2d.yy), expected, expected * 0.05);

@@ -183,25 +183,7 @@ monoGsRunHash(SimdLevel level)
     slam::SlamSystem sys(cfg, ds.intrinsics());
     for (u32 f = 0; f < ds.frameCount(); ++f)
         sys.processFrame(ds.frame(f));
-
-    u64 hash = 1469598103934665603ull;
-    for (const SE3 &pose : sys.trajectory()) {
-        hash = fnv1a(&pose.rot, sizeof(pose.rot), hash);
-        hash = fnv1a(&pose.trans, sizeof(pose.trans), hash);
-    }
-    const GaussianCloud &cloud = sys.cloud();
-    auto mix = [&hash](const auto &column) {
-        using T = typename std::decay_t<decltype(column)>::value_type;
-        if (column.size())
-            hash = fnv1a(column.data(), column.size() * sizeof(T), hash);
-    };
-    mix(cloud.positions);
-    mix(cloud.logScales);
-    mix(cloud.rotations);
-    mix(cloud.opacityLogits);
-    mix(cloud.shCoeffs);
-    mix(cloud.active);
-    return hash;
+    return outputFnv(sys.trajectory(), sys.cloud());
 }
 
 /** Crafted splats and their footprints in one 16x16 tile at (32, 48). */
@@ -292,7 +274,7 @@ EdgeRun
 runEdgeStack(const SplatKernels &k, const EdgeStack &stack)
 {
     const RenderSettings settings;
-    const SplatKernelCtx ctx{settings.alphaMin, settings.alphaMax,
+    const SplatKernelCtx ctx{settings.alphaMin, kAlphaMax,
                              settings.transmittanceEps};
     constexpr u32 side = EdgeStack::kSide;
     const size_t n_st = size_t(side) * side + kTileStatePad;

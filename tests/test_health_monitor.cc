@@ -174,7 +174,7 @@ TEST(HealthMonitor, EscalatesToLostAndRecovers)
     EXPECT_GE(monitor.framesSinceHealthy(), 3u);
 
     // Passive recovery goes through probation: Lost only exits after
-    // lostProbationFrames consecutive clean frames (the active exit,
+    // kLostProbationFrames consecutive clean frames (the active exit,
     // an accepted relocalization, is tested in test_relocalizer.cc).
     a = monitor.assess(cleanAssess());
     EXPECT_FALSE(a.suspect);
@@ -184,7 +184,7 @@ TEST(HealthMonitor, EscalatesToLostAndRecovers)
 
     a = monitor.assess(cleanAssess());
     EXPECT_EQ(a.state, HealthState::Relocalizing)
-        << "lostProbationFrames=2 clean frames end probation";
+        << "kLostProbationFrames=2 clean frames end probation";
     EXPECT_TRUE(a.forceKeyframe)
         << "re-anchor fires on the frame that exits probation";
 
@@ -203,7 +203,7 @@ TEST(HealthMonitor, EscalatesToLostAndRecovers)
 TEST(HealthMonitor, RecoveryLatencyIsBounded)
 {
     // After a fault burst ends, the monitor must return to Ok within
-    // lostProbationFrames + recoveryOkFrames clean frames — never
+    // kLostProbationFrames + recoveryOkFrames clean frames — never
     // more (the passive LOST exit serves probation first, then the
     // recovery clock runs).
     HealthConfig health = enabledHealth();
@@ -215,8 +215,7 @@ TEST(HealthMonitor, RecoveryLatencyIsBounded)
         monitor.assess(cleanAssess(0.9)); // long fault burst, Lost
     EXPECT_EQ(monitor.state(), HealthState::Lost);
 
-    const u32 bound =
-        health.lostProbationFrames + health.recoveryOkFrames;
+    const u32 bound = kLostProbationFrames + health.recoveryOkFrames;
     u32 frames_to_ok = 0;
     while (monitor.state() != HealthState::Ok) {
         monitor.assess(cleanAssess());

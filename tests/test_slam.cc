@@ -11,9 +11,9 @@
 
 #include "common/rng.hh"
 #include "slam/evaluation.hh"
-#include "slam/keyframe.hh"
 #include "slam/loss.hh"
 #include "slam/optimizer.hh"
+#include "slam/pipeline.hh"
 
 namespace rtgs::slam
 {
@@ -112,11 +112,13 @@ TEST(Loss, HuberSaturatesGradient)
 TEST(MapOptimizer, DescendsQuadratic)
 {
     // Single Gaussian, synthetic gradient pointing away from target.
+    // Adam moves a position by about its learning rate (1e-3) per
+    // step, so the unit distance takes ~1000 steps.
     gs::GaussianCloud cloud;
     cloud.pushIsotropic({1, 1, 1}, 0.2f, 0.5f, {0.5f, 0.5f, 0.5f});
-    MapOptimizer opt({.position = Real(2e-2)});
+    MapOptimizer opt;
     Vec3f target{0, 0, 0};
-    for (int i = 0; i < 300; ++i) {
+    for (int i = 0; i < 2000; ++i) {
         gs::CloudGrads grads;
         grads.resize(1);
         grads.dPositions[0] = cloud.positions[0] - target;
@@ -162,8 +164,10 @@ TEST(MapOptimizer, ClampsOpacityLogit)
 {
     gs::GaussianCloud cloud;
     cloud.pushIsotropic({0, 0, 1}, 0.2f, 0.5f, {0.5f, 0.5f, 0.5f});
-    MapOptimizer opt({.opacity = Real(10)});
-    for (int i = 0; i < 50; ++i) {
+    // A constant gradient moves the logit by the opacity learning rate
+    // (2e-2) per step: past the clamp at 9 after ~450 steps.
+    MapOptimizer opt;
+    for (int i = 0; i < 500; ++i) {
         gs::CloudGrads grads;
         grads.resize(1);
         grads.dOpacityLogits[0] = -100;
@@ -188,33 +192,34 @@ TEST(PoseOptimizer, ConvergesToTargetPose)
     EXPECT_LT(SE3::rotationDistance(pose, target), 0.05);
 }
 
+// kf_interval only steers the MonoGS policy; the other profiles'
+// thresholds are fixed (0.15 m / 0.20 rad pose distance, 0.08 RMSE).
+constexpr u32 kUnusedInterval = 8;
+
 TEST(Keyframe, IntervalPolicy)
 {
-    IntervalKeyframePolicy policy(5);
     KeyframeQuery q;
     q.frameIndex = 0;
-    EXPECT_TRUE(policy.isKeyframe(q));
+    EXPECT_TRUE(isKeyframe(BaseAlgorithm::MonoGs, 5, q));
     q.frameIndex = 4;
-    EXPECT_FALSE(policy.isKeyframe(q));
+    EXPECT_FALSE(isKeyframe(BaseAlgorithm::MonoGs, 5, q));
     q.frameIndex = 10;
-    EXPECT_TRUE(policy.isKeyframe(q));
+    EXPECT_TRUE(isKeyframe(BaseAlgorithm::MonoGs, 5, q));
 }
 
 TEST(Keyframe, PoseDistancePolicy)
 {
-    PoseDistanceKeyframePolicy policy(Real(0.5), Real(0.5));
     KeyframeQuery q;
     q.frameIndex = 3;
     q.lastKeyframePose = SE3::lookAt({0, 0, 0}, {0, 0, 1});
     q.currentPose = SE3::lookAt({0.1f, 0, 0}, {0.1f, 0, 1});
-    EXPECT_FALSE(policy.isKeyframe(q));
+    EXPECT_FALSE(isKeyframe(BaseAlgorithm::GsSlam, kUnusedInterval, q));
     q.currentPose = SE3::lookAt({1.0f, 0, 0}, {1.0f, 0, 1});
-    EXPECT_TRUE(policy.isKeyframe(q));
+    EXPECT_TRUE(isKeyframe(BaseAlgorithm::GsSlam, kUnusedInterval, q));
 }
 
 TEST(Keyframe, PhotometricPolicy)
 {
-    PhotometricKeyframePolicy policy(Real(0.1));
     ImageRGB a(8, 8, {0.5f, 0.5f, 0.5f});
     ImageRGB near_img(8, 8, {0.52f, 0.52f, 0.52f});
     ImageRGB far_img(8, 8, {0.9f, 0.9f, 0.9f});
@@ -222,9 +227,9 @@ TEST(Keyframe, PhotometricPolicy)
     q.frameIndex = 3;
     q.lastKeyframeImage = &a;
     q.currentImage = &near_img;
-    EXPECT_FALSE(policy.isKeyframe(q));
+    EXPECT_FALSE(isKeyframe(BaseAlgorithm::PhotoSlam, kUnusedInterval, q));
     q.currentImage = &far_img;
-    EXPECT_TRUE(policy.isKeyframe(q));
+    EXPECT_TRUE(isKeyframe(BaseAlgorithm::PhotoSlam, kUnusedInterval, q));
 }
 
 TEST(Ate, ZeroForIdenticalTrajectories)

@@ -10,6 +10,7 @@
 
 #include <cmath>
 
+#include "byte_identity.hh"
 #include "image/metrics.hh"
 #include "slam/evaluation.hh"
 #include "slam/pipeline.hh"
@@ -100,6 +101,37 @@ TEST(SlamIntegration, KeyframeCountsFollowProfiles)
     EXPECT_EQ(splatam_kf, tinyDataset().frameCount());
     EXPECT_LT(mono_kf, splatam_kf);
     EXPECT_GE(mono_kf, tinyDataset().frameCount() / 4);
+}
+
+TEST(SlamIntegration, PredictKeyframeMatchesDecisionAndKeepsBytes)
+{
+    // RtgsSlam's dynamic downsampling sets a frame's resolution from
+    // predictKeyframe() before tracking it (Sec. 4.2). MonoGS and
+    // SplaTAM decide without the tracked pose, so the prediction is
+    // the decision; asking for it must not change the output.
+    data::DatasetSpec spec = tinySpec();
+    spec.trajectory.frameCount = 12;
+    data::SyntheticDataset ds(spec);
+    for (BaseAlgorithm algo : {BaseAlgorithm::MonoGs,
+                               BaseAlgorithm::SplaTam}) {
+        SlamSystem asked(fastConfig(algo), ds.intrinsics());
+        SlamSystem plain(fastConfig(algo), ds.intrinsics());
+        u32 keyframes = 0;
+        for (u32 f = 0; f < ds.frameCount(); ++f) {
+            bool predicted = asked.predictKeyframe(ds.frame(f));
+            bool decided = asked.processFrame(ds.frame(f)).isKeyframe;
+            EXPECT_EQ(predicted, decided)
+                << algorithmName(algo) << " frame " << f;
+            keyframes += decided ? 1 : 0;
+            plain.processFrame(ds.frame(f));
+        }
+        EXPECT_EQ(keyframes, algo == BaseAlgorithm::MonoGs
+                                 ? 3u
+                                 : ds.frameCount());
+        EXPECT_EQ(outputFnv(asked.trajectory(), asked.cloud()),
+                  outputFnv(plain.trajectory(), plain.cloud()))
+            << algorithmName(algo);
+    }
 }
 
 TEST(SlamIntegration, PhotoSlamGeometricTrackingWorks)

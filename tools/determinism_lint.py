@@ -64,6 +64,16 @@ into mechanical checks over the source tree:
                         rtgs_oracle): the SLAM path reads no modelled
                         number and carries one implementation of the
                         splat math.
+  unset-config-field    Every data member of a `*Config` or
+                        `RenderSettings` struct in src/gs, src/slam or
+                        src/core is assigned (`=` or a compound
+                        assignment after `.` or `->`) somewhere in
+                        src/, bench/, examples/, slambench/ or tests/.
+                        A field nothing sets has one value in use and
+                        belongs in a named constant. Members typed as
+                        another such struct are skipped. Matching is
+                        by member name, so a name that another struct
+                        assigns passes too.
 
 Escapes (sparingly, with a reason in the surrounding comment):
 
@@ -95,6 +105,9 @@ PROFILER_FILES = ("src/slam/profiler.hh",)
 ROW_KERNEL_GLOB = "src/gs/row_kernels*"
 # The directories built into their own libraries rather than rtgs.
 NON_RTGS_DIRS = ("src/hw", "src/oracle")
+# Where the config structs live, and where their fields may be set.
+CONFIG_DIRS = ("src/gs", "src/slam", "src/core")
+CONFIG_USER_DIRS = ("src", "bench", "examples", "slambench", "tests")
 
 ALL_RULES = (
     "unordered-container",
@@ -108,6 +121,7 @@ ALL_RULES = (
     "tsan-filter",
     "global-pool",
     "layering",
+    "unset-config-field",
 )
 
 
@@ -446,6 +460,89 @@ def check_tsan_coverage(ci_text, test_files):
 
 
 # ---------------------------------------------------------------------
+# Repo-level rule: every config field is set somewhere
+# ---------------------------------------------------------------------
+
+CONFIG_STRUCT_RE = re.compile(r"\bstruct\s+(\w*Config|RenderSettings)\b")
+ACCESS_LABEL_RE = re.compile(r"^\s*(public|protected|private)\s*:")
+MEMBER_NAME_RE = re.compile(r"^(.*?)\b([A-Za-z_]\w*)\s*(\[[^\]]*\])?\s*$",
+                            re.S)
+FIELD_ASSIGN_RE = re.compile(
+    r"(?:\.|->)\s*([A-Za-z_]\w*)\s*(?:[-+*/%&|^]|<<|>>)?=(?!=)")
+NON_MEMBER_PREFIXES = ("static ", "using ", "friend ", "typedef ",
+                       "enum ", "struct ", "class ", "template")
+
+
+def config_struct_members(src):
+    """(struct, member, member type, line) for each data member of a
+    `*Config` / `RenderSettings` struct defined in one parsed file.
+    Method bodies, nested types and static members are skipped."""
+    code = "\n".join(src.code_lines)
+    members = []
+    for match in CONFIG_STRUCT_RE.finditer(code):
+        open_at = code.find("{", match.end())
+        if open_at < 0 or code[match.end():open_at].strip():
+            continue  # a forward declaration or a use, not a definition
+        depth, i = 1, open_at + 1
+        stmt, stmt_at = "", None
+        while i < len(code) and depth:
+            c = code[i]
+            if c == "{" and depth == 1 and "(" in re.split("=", stmt)[0]:
+                # A method body: skip it whole.
+                body = 1
+                i += 1
+                while i < len(code) and body:
+                    body += {"{": 1, "}": -1}.get(code[i], 0)
+                    i += 1
+                stmt, stmt_at = "", None
+                continue
+            depth += {"{": 1, "}": -1}.get(c, 0)
+            if c == ";" and depth == 1:
+                decl = ACCESS_LABEL_RE.sub("", stmt).strip()
+                head = re.split(r"=|\{", decl, maxsplit=1)[0]
+                name = MEMBER_NAME_RE.match(head)
+                if (decl and name and "(" not in head and
+                        not decl.startswith(NON_MEMBER_PREFIXES)):
+                    line = code.count("\n", 0, stmt_at) + 1
+                    members.append((match.group(1), name.group(2),
+                                    name.group(1).strip(), line))
+                stmt, stmt_at = "", None
+            elif depth:
+                if stmt_at is None and not c.isspace():
+                    stmt_at = i
+                stmt += c
+            i += 1
+    return members
+
+
+def check_unset_config_fields(config_files, user_files):
+    """config_files: {relpath: SourceFile} under CONFIG_DIRS;
+    user_files: {relpath: SourceFile} of every file that may set a
+    field. A member no user file assigns is a single-valued option."""
+    members = []
+    for relpath, src in sorted(config_files.items()):
+        members.extend((relpath, src) + m
+                       for m in config_struct_members(src))
+    struct_names = {m[2] for m in members}
+    assigned = set()
+    for src in user_files.values():
+        assigned.update(FIELD_ASSIGN_RE.findall("\n".join(src.code_lines)))
+    findings = []
+    for relpath, src, struct, name, mtype, line in members:
+        base = re.findall(r"\w+", re.sub(r"<.*>", "", mtype))
+        if base and base[-1] in struct_names:
+            continue  # a nested config struct; its own fields count
+        if name in assigned or src.allows(line, "unset-config-field"):
+            continue
+        findings.append(Finding(
+            relpath, line, "unset-config-field",
+            "%s::%s is assigned nowhere in %s; an option with one value "
+            "in use is a named constant" %
+            (struct, name, ", ".join(d + "/" for d in CONFIG_USER_DIRS))))
+    return findings
+
+
+# ---------------------------------------------------------------------
 # Optional libclang deep pass
 # ---------------------------------------------------------------------
 
@@ -482,8 +579,8 @@ def libclang_pass(root):
 # Driver
 # ---------------------------------------------------------------------
 
-def iter_source_files(root):
-    for base in ("src",):
+def iter_source_files(root, bases=("src",)):
+    for base in bases:
         for dirpath, _dirnames, filenames in os.walk(os.path.join(root, base)):
             for name in sorted(filenames):
                 if name.endswith((".cc", ".hh", ".h", ".hpp", ".cpp")):
@@ -493,7 +590,8 @@ def iter_source_files(root):
 
 def lint_tree(root, use_libclang=False):
     findings = []
-    for relpath in iter_source_files(root):
+    parsed = {}
+    for relpath in iter_source_files(root, CONFIG_USER_DIRS):
         with open(os.path.join(root, relpath), encoding="utf-8") as fh:
             text = fh.read()
         try:
@@ -501,7 +599,13 @@ def lint_tree(root, use_libclang=False):
         except ValueError as err:
             findings.append(Finding(relpath, 1, "unguarded-field", str(err)))
             continue
-        findings.extend(lint_file(src, relpath))
+        parsed[relpath] = src
+        if relpath.startswith("src/"):
+            findings.extend(lint_file(src, relpath))
+
+    config_files = {p: s for p, s in parsed.items()
+                    if any(p.startswith(d + "/") for d in CONFIG_DIRS)}
+    findings.extend(check_unset_config_fields(config_files, parsed))
 
     ci_path = os.path.join(root, ".github", "workflows", "ci.yml")
     tests_dir = os.path.join(root, "tests")
@@ -578,6 +682,10 @@ def run_self_test(root):
         try:
             src = SourceFile(pretend, text)
             got = {f.rule for f in lint_file(src, pretend)}
+            # The fixture is its own whole tree for the repo-level
+            # config-field rule.
+            got.update(f.rule for f in check_unset_config_fields(
+                {pretend: src}, {pretend: src}))
         except ValueError as err:
             got = {"unguarded-field"} if "det-lint" in str(err) else set()
         checked += 1
@@ -623,6 +731,29 @@ def run_self_test(root):
         got = lint_file(SourceFile(pretend, text), pretend)
         if any(f.rule == "layering" for f in got):
             failures.append("layering: false positive on %s" % pretend)
+    checked += 1
+
+    # unset-config-field flags exactly the fixture's never-set field:
+    # not the assigned one, the nested config struct, the allowed one,
+    # a method or a static constant — and a second file's assignment
+    # clears it.
+    with open(os.path.join(fixture_dir, "fixture_unset_config_field.hh"),
+              encoding="utf-8") as fh:
+        fixture = SourceFile("src/slam/fixture_unset_config_field.hh",
+                             fh.read())
+    got = check_unset_config_fields({fixture.path: fixture},
+                                    {fixture.path: fixture})
+    names = sorted(f.message.split(" ")[0] for f in got)
+    if names != ["FixtureConfig::neverSet"]:
+        failures.append("unset-config-field: flagged %s, expected only "
+                        "FixtureConfig::neverSet" % (names or "nothing"))
+    setter = SourceFile("tests/test_setter.cc",
+                        "void f(FixtureConfig *c) { c->neverSet *= 2; }\n")
+    if check_unset_config_fields({fixture.path: fixture},
+                                 {fixture.path: fixture,
+                                  setter.path: setter}):
+        failures.append("unset-config-field: missed an assignment made "
+                        "in another file")
     checked += 1
 
     if failures:
